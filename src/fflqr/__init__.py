@@ -46,7 +46,7 @@ from .model import (
     predict,
     save_model,
 )
-from .qreg import QrCoefMatrix, QrProblem, check_loss, qr_fit, qr_fit_multi, qr_objective
+from .qreg import QrProblem, check_loss, qr_fit, qr_fit_multi, qr_objective
 from .selection import (
     SelectionResult,
     bic_candidate,
@@ -86,7 +86,6 @@ __all__ = [
     "project_scores",
     "reconstruct",
     "QrProblem",
-    "QrCoefMatrix",
     "check_loss",
     "qr_fit",
     "qr_fit_multi",

@@ -39,6 +39,9 @@ class PredictionBand:
     crossing_rate : float
         Fraction of points whose raw bounds arrived crossed and were
         swapped (nonzero only for paired quantile fits).
+    failed_refits : int
+        Bootstrap refits that failed numerically and were left out of the
+        bounds (zero for paired quantile fits).
     """
 
     lower: np.ndarray
@@ -46,6 +49,7 @@ class PredictionBand:
     alpha: float
     grid: Grid
     crossing_rate: float = 0.0
+    failed_refits: int = 0
 
     def __post_init__(self):
         if self.lower.shape != self.upper.shape:
@@ -85,13 +89,14 @@ def mspe(Y_true: FunctionalSample, Y_pred: FunctionalSample) -> float:
     return float(np.mean(sq @ Y_true.grid.weights))
 
 
-def _fit_for(method, Y, X, tau, k_y, k_x):
+def _fit_for(method, Y, X, tau, k_y, k_x, predictor_indices=None):
+    """Fit one of the three estimators by name; the only method dispatch."""
     if method == "fflqr":
-        return fit_fflqr(Y, X, tau, k_y, k_x)
+        return fit_fflqr(Y, X, tau, k_y, k_x, predictor_indices)
     if method == "fpc-ls":
-        return fit_fpc_ls(Y, X, k_y, k_x)
+        return fit_fpc_ls(Y, X, k_y, k_x, predictor_indices)
     if method == "bspline-ls":
-        return fit_bspline_ls(Y, X)
+        return fit_bspline_ls(Y, X, predictor_indices=predictor_indices)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -112,7 +117,9 @@ def bootstrap_band(
     Each of the ``R`` replicates resamples training rows with replacement,
     refits at the fixed configuration and predicts the test set; bounds are
     the pointwise ``alpha/2`` and ``1 - alpha/2`` quantiles over replicates
-    (linear interpolation of order statistics).
+    (linear interpolation of order statistics). Refits that fail numerically
+    are left out and counted on the band; fewer than ``R/2`` successes
+    raise ``NumericalError``.
 
     Parameters
     ----------
@@ -147,7 +154,7 @@ def bootstrap_band(
     stack = np.stack(preds)
     lower = np.quantile(stack, alpha / 2.0, axis=0, method="linear")
     upper = np.quantile(stack, 1.0 - alpha / 2.0, axis=0, method="linear")
-    return PredictionBand(lower, upper, alpha, Y_train.grid)
+    return PredictionBand(lower, upper, alpha, Y_train.grid, failed_refits=failures)
 
 
 def direct_band(

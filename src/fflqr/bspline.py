@@ -1,8 +1,9 @@
-"""B-spline basis evaluation with clamped uniform knots (Cox-de Boor)."""
+"""B-spline basis evaluation with clamped uniform knots."""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.interpolate import BSpline
 
 __all__ = ["bspline_knots", "bspline_design"]
 
@@ -25,7 +26,7 @@ def bspline_knots(n_basis: int, order: int, a: float, b: float) -> np.ndarray:
 
 
 def bspline_design(x, n_basis: int, order: int, a: float, b: float) -> np.ndarray:
-    """Evaluate all basis functions at the points ``x``.
+    """Evaluate all basis functions at the points ``x``, which lie in ``[a, b]``.
 
     Returns
     -------
@@ -35,24 +36,4 @@ def bspline_design(x, n_basis: int, order: int, a: float, b: float) -> np.ndarra
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     t = bspline_knots(n_basis, order, a, b)
-    n_knots = t.size
-
-    # Degree 0: indicator of [t_i, t_{i+1}), right-closed at the domain end.
-    B = np.zeros((x.size, n_knots - 1))
-    for i in range(n_knots - 1):
-        B[:, i] = (t[i] <= x) & (x < t[i + 1])
-    B[x == b, n_basis - 1] = 1.0
-
-    for k in range(2, order + 1):
-        new = np.zeros((x.size, n_knots - k))
-        for i in range(n_knots - k):
-            left_den = t[i + k - 1] - t[i]
-            right_den = t[i + k] - t[i + 1]
-            term = np.zeros(x.size)
-            if left_den > 0:
-                term = term + (x - t[i]) / left_den * B[:, i]
-            if right_den > 0:
-                term = term + (t[i + k] - x) / right_den * B[:, i + 1]
-            new[:, i] = term
-        B = new
-    return B[:, :n_basis]
+    return BSpline.design_matrix(x, t, order - 1).toarray()

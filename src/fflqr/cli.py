@@ -156,33 +156,38 @@ def cmd_fit(args) -> int:
     Y, X = _read_samples(args.y, args.x)
     outputs = []
 
-    if args.select:
-        sel = forward_select(
-            Y, X, args.tau, fixed_k=args.fixed_k,
-            k_y_max=args.ky_max, k_x_max=args.kx_max,
-        )
-        write_trace_csv(sel, out / "selection_trace.csv")
-        outputs.append("selection_trace.csv")
-        indices = sel.chosen_predictors
-        k_y, k_x = sel.chosen_k_y, sel.chosen_k_x
-        X_fit = [X[i - 1] for i in indices]
-    elif args.tune:
-        k_y, k_x, trace = select_truncation(Y, X, args.tau, args.ky_max, args.kx_max)
-        write_trace_csv(
-            SelectionResult(k_y, k_x, tuple(range(1, len(X) + 1)), tuple(trace)),
-            out / "bic_trace.csv",
-        )
-        outputs.append("bic_trace.csv")
-        indices = tuple(range(1, len(X) + 1))
-        X_fit = X
-    else:
-        if args.ky is None or args.kx is None:
-            raise ConfigError("provide --ky and --kx, or use --tune / --select")
-        k_y, k_x = args.ky, args.kx
-        indices = tuple(range(1, len(X) + 1))
-        X_fit = X
+    # Values the data cannot support (tau outside (0, 1), truncations above
+    # the covariance rank) surface as ValueError from the fitting layers.
+    try:
+        if args.select:
+            sel = forward_select(
+                Y, X, args.tau, fixed_k=args.fixed_k,
+                k_y_max=args.ky_max, k_x_max=args.kx_max,
+            )
+            write_trace_csv(sel, out / "selection_trace.csv")
+            outputs.append("selection_trace.csv")
+            indices = sel.chosen_predictors
+            k_y, k_x = sel.chosen_k_y, sel.chosen_k_x
+            X_fit = [X[i - 1] for i in indices]
+        elif args.tune:
+            k_y, k_x, trace = select_truncation(Y, X, args.tau, args.ky_max, args.kx_max)
+            write_trace_csv(
+                SelectionResult(k_y, k_x, tuple(range(1, len(X) + 1)), tuple(trace)),
+                out / "bic_trace.csv",
+            )
+            outputs.append("bic_trace.csv")
+            indices = tuple(range(1, len(X) + 1))
+            X_fit = X
+        else:
+            if args.ky is None or args.kx is None:
+                raise ConfigError("provide --ky and --kx, or use --tune / --select")
+            k_y, k_x = args.ky, args.kx
+            indices = tuple(range(1, len(X) + 1))
+            X_fit = X
 
-    fit = fit_fflqr(Y, X_fit, args.tau, k_y, k_x, indices)
+        fit = fit_fflqr(Y, X_fit, args.tau, k_y, k_x, indices)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     save_model(fit, out / "model.json")
     outputs.append("model.json")
 
@@ -254,6 +259,7 @@ def cmd_interval(args) -> int:
         "R": args.R if args.method == "bootstrap" else None,
         "seed": args.seed if args.method == "bootstrap" else None,
         "crossing_rate": band.crossing_rate,
+        "failed_refits": band.failed_refits,
     }
     with open(out / "band.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)

@@ -10,17 +10,16 @@ representation, one on a B-spline expansion of the curves.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .bspline import bspline_design
-from .errors import NumericalError, RankDeficiencyWarning
+from .errors import DataError, NumericalError
 from .fdata import FunctionalSample, Grid
 from .fpca import FpcBasis, fpc_decompose, project_scores, reconstruct
-from .qreg import QrCoefMatrix, check_loss, qr_fit_multi, _column_rank
+from .qreg import _column_rank, qr_fit_multi, qr_objective
 
 __all__ = [
     "FflqrFit",
@@ -51,8 +50,9 @@ class FflqrFit:
         K_Y leading components of the response sample.
     predictor_bases : tuple of FpcBasis
         One K_X-component basis per kept predictor.
-    coefs : QrCoefMatrix
-        (1 + sum K_X) x K_Y coefficients; row 0 is the intercept.
+    coefs : ndarray, shape (1 + sum K_X, K_Y)
+        Score regression coefficients; row 0 is the intercept, then one
+        block of K_X rows per predictor in design order.
     predictor_indices : tuple of int
         Original 1-based predictor labels, in design order.
     method : str
@@ -62,13 +62,13 @@ class FflqrFit:
     tau: float
     response_basis: FpcBasis
     predictor_bases: tuple
-    coefs: QrCoefMatrix
+    coefs: np.ndarray
     predictor_indices: tuple
     method: str = "fflqr"
 
     def __post_init__(self):
         q = 1 + sum(b.n_components for b in self.predictor_bases)
-        if self.coefs.coefficients.shape != (q, self.response_basis.n_components):
+        if np.shape(self.coefs) != (q, self.response_basis.n_components):
             raise ValueError("coefficient matrix shape does not match the bases")
         if len(self.predictor_bases) != len(self.predictor_indices):
             raise ValueError("one predictor index per predictor basis required")
@@ -178,7 +178,7 @@ def fit_fflqr(
     _validate_samples(Y, X)
     indices = _resolve_indices(X, predictor_indices)
     response_basis, xi, bases, design = _score_design(Y, X, k_y, k_x)
-    coefs = qr_fit_multi(design, xi, tau, includes_intercept=True)
+    coefs = qr_fit_multi(design, xi, tau)
     return FflqrFit(tau, response_basis, bases, coefs, indices, "fflqr")
 
 
@@ -194,27 +194,13 @@ def fit_fpc_ls(
     indices = _resolve_indices(X, predictor_indices)
     response_basis, xi, bases, design = _score_design(Y, X, k_y, k_x)
     coefs = _ls_solve(design, xi)
-    return FflqrFit(
-        0.5,
-        response_basis,
-        bases,
-        QrCoefMatrix(coefs, 0.5, includes_intercept=True),
-        indices,
-        "fpc-ls",
-    )
+    return FflqrFit(0.5, response_basis, bases, coefs, indices, "fpc-ls")
 
 
 def _ls_solve(design: np.ndarray, responses: np.ndarray) -> np.ndarray:
     """Column-rank-aware least squares; dropped columns get zero coefficients."""
     keep = _column_rank(design)
-    q = design.shape[1]
-    if keep.size < q:
-        warnings.warn(
-            f"design has rank {keep.size} < {q}; dependent columns dropped",
-            RankDeficiencyWarning,
-            stacklevel=3,
-        )
-    coefs = np.zeros((q, responses.shape[1]))
+    coefs = np.zeros((design.shape[1], responses.shape[1]))
     if keep.size > 0:
         coefs[keep] = np.linalg.lstsq(design[:, keep], responses, rcond=None)[0]
     return coefs
@@ -279,15 +265,20 @@ def fit_bspline_ls(
     )
 
 
-def _predict_scores(fit: FflqrFit, X_new) -> FunctionalSample:
-    if len(X_new) != len(fit.predictor_bases):
+def _projected_design(fit: FflqrFit, X) -> np.ndarray:
+    """Intercept-plus-scores design of curves projected on the fitted bases."""
+    if len(X) != len(fit.predictor_bases):
         raise ValueError(
-            f"model uses {len(fit.predictor_bases)} predictors, got {len(X_new)}"
+            f"model uses {len(fit.predictor_bases)} predictors, got {len(X)}"
         )
-    blocks = [np.ones((X_new[0].n, 1))]
-    for basis, x in zip(fit.predictor_bases, X_new):
+    blocks = [np.ones((X[0].n, 1))]
+    for basis, x in zip(fit.predictor_bases, X):
         blocks.append(project_scores(basis, x))
-    xi_hat = np.hstack(blocks) @ fit.coefs.coefficients
+    return np.hstack(blocks)
+
+
+def _predict_scores(fit: FflqrFit, X_new) -> FunctionalSample:
+    xi_hat = _projected_design(fit, X_new) @ fit.coefs
     return reconstruct(fit.response_basis, xi_hat)
 
 
@@ -344,7 +335,7 @@ def coefficient_surface(fit: FflqrFit, predictor_index: int) -> CoefficientSurfa
         )
     position = fit.predictor_indices.index(predictor_index)
     basis = fit.predictor_bases[position]
-    block = fit.coefs.coefficients[_block_rows(fit, position)]
+    block = fit.coefs[_block_rows(fit, position)]
     values = basis.eigenfunctions.T @ block @ fit.response_basis.eigenfunctions
     return CoefficientSurface(
         values, basis.grid, fit.response_basis.grid, predictor_index, fit.tau
@@ -355,21 +346,17 @@ def intercept_function(fit: FflqrFit) -> np.ndarray:
     """Intercept curve such that predictions decompose as
     intercept plus the integrals of each raw predictor against its surface.
     """
-    g = fit.coefs.coefficients[0].copy()
+    g = fit.coefs[0].copy()
     for position, basis in enumerate(fit.predictor_bases):
         mean_coords = (basis.eigenfunctions * basis.grid.weights) @ basis.mean
-        g -= mean_coords @ fit.coefs.coefficients[_block_rows(fit, position)]
+        g -= mean_coords @ fit.coefs[_block_rows(fit, position)]
     return fit.response_basis.mean + g @ fit.response_basis.eigenfunctions
 
 
 def score_objective(fit: FflqrFit, Y: FunctionalSample, X) -> np.ndarray:
     """In-sample check-loss objective per response score coordinate."""
     xi = project_scores(fit.response_basis, Y)
-    blocks = [np.ones((Y.n, 1))]
-    for basis, x in zip(fit.predictor_bases, X):
-        blocks.append(project_scores(basis, x))
-    resid = xi - np.hstack(blocks) @ fit.coefs.coefficients
-    return check_loss(resid, fit.tau).sum(axis=0)
+    return qr_objective(_projected_design(fit, X), xi, fit.coefs, fit.tau)
 
 
 def _grid_to_json(grid: Grid) -> dict:
@@ -407,7 +394,7 @@ def save_model(fit, path) -> None:
             "kind": fit.method,
             "tau": fit.tau,
             "predictor_indices": list(fit.predictor_indices),
-            "coefficients": fit.coefs.coefficients.tolist(),
+            "coefficients": fit.coefs.tolist(),
             "response_basis": _basis_to_json(fit.response_basis),
             "predictor_bases": [_basis_to_json(b) for b in fit.predictor_bases],
         }
@@ -428,27 +415,29 @@ def save_model(fit, path) -> None:
 
 
 def load_model(path):
-    """Load a model written by ``save_model``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    kind = doc.get("kind")
-    if kind in ("fflqr", "fpc-ls"):
-        coefs = np.array(doc["coefficients"])
-        return FflqrFit(
-            float(doc["tau"]),
-            _basis_from_json(doc["response_basis"]),
-            tuple(_basis_from_json(b) for b in doc["predictor_bases"]),
-            QrCoefMatrix(coefs, float(doc["tau"]), includes_intercept=True),
-            tuple(doc["predictor_indices"]),
-            kind,
-        )
-    if kind == "bspline-ls":
-        return BsplineLsFit(
-            np.array(doc["theta"]),
-            _grid_from_json(doc["response_grid"]),
-            tuple(_grid_from_json(g) for g in doc["predictor_grids"]),
-            int(doc["n_basis"]),
-            int(doc["order"]),
-            tuple(doc["predictor_indices"]),
-        )
-    raise ValueError(f"unrecognized model kind {kind!r}")
+    """Load a model written by ``save_model``; ``DataError`` if it is malformed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        kind = doc.get("kind") if isinstance(doc, dict) else None
+        if kind in ("fflqr", "fpc-ls"):
+            return FflqrFit(
+                float(doc["tau"]),
+                _basis_from_json(doc["response_basis"]),
+                tuple(_basis_from_json(b) for b in doc["predictor_bases"]),
+                np.array(doc["coefficients"]),
+                tuple(doc["predictor_indices"]),
+                kind,
+            )
+        if kind == "bspline-ls":
+            return BsplineLsFit(
+                np.array(doc["theta"]),
+                _grid_from_json(doc["response_grid"]),
+                tuple(_grid_from_json(g) for g in doc["predictor_grids"]),
+                int(doc["n_basis"]),
+                int(doc["order"]),
+                tuple(doc["predictor_indices"]),
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"model {path} is malformed ({exc!r})") from exc
+    raise DataError(f"model {path} has unrecognized kind {kind!r}")

@@ -22,7 +22,6 @@ from .errors import NumericalError, RankDeficiencyWarning
 
 __all__ = [
     "QrProblem",
-    "QrCoefMatrix",
     "check_loss",
     "qr_fit",
     "qr_fit_multi",
@@ -44,6 +43,26 @@ def check_loss(u, tau: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _validate(design, responses, tau: float, ndim: int) -> tuple:
+    """Float arrays of a design and its response vector (``ndim=1``) or
+    response columns (``ndim=2``), checked for shape, tau and finiteness."""
+    design = np.asarray(design, dtype=float)
+    responses = np.asarray(responses, dtype=float)
+    if design.ndim != 2:
+        raise ValueError("design must be a 2-D matrix")
+    n, q = design.shape
+    if responses.ndim != ndim or responses.shape[0] != n:
+        shape = "(n,)" if ndim == 1 else "(n, K)"
+        raise ValueError(f"responses must be {shape} with n matching the design rows")
+    if n < q:
+        raise ValueError(f"need at least as many rows as columns ({n} < {q})")
+    if not 0.0 < tau < 1.0:
+        raise ValueError("tau must lie strictly inside (0, 1)")
+    if not (np.all(np.isfinite(design)) and np.all(np.isfinite(responses))):
+        raise ValueError("design and response must be finite")
+    return design, responses
+
+
 @dataclass(frozen=True)
 class QrProblem:
     """A single quantile regression instance.
@@ -63,40 +82,9 @@ class QrProblem:
     tau: float
 
     def __post_init__(self):
-        design = np.asarray(self.design, dtype=float)
-        response = np.asarray(self.response, dtype=float)
+        design, response = _validate(self.design, self.response, self.tau, ndim=1)
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "response", response)
-        if design.ndim != 2:
-            raise ValueError("design must be a 2-D matrix")
-        n, q = design.shape
-        if response.shape != (n,):
-            raise ValueError("response length must match the design rows")
-        if n < q:
-            raise ValueError(f"need at least as many rows as columns ({n} < {q})")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError("tau must lie strictly inside (0, 1)")
-        if not (np.all(np.isfinite(design)) and np.all(np.isfinite(response))):
-            raise ValueError("design and response must be finite")
-
-
-@dataclass(frozen=True)
-class QrCoefMatrix:
-    """Coefficients of one quantile regression per response column.
-
-    Parameters
-    ----------
-    coefficients : ndarray, shape (q, K)
-        Column k solves the regression of response column k.
-    tau : float
-        Common quantile level.
-    includes_intercept : bool
-        Whether row 0 corresponds to an intercept column of ones.
-    """
-
-    coefficients: np.ndarray
-    tau: float
-    includes_intercept: bool
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -186,30 +174,23 @@ def _frisch_newton(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _column_rank(X: np.ndarray) -> np.ndarray:
-    """Indices of an independent column subset found by pivoted QR."""
+    """Indices of an independent column subset found by pivoted QR.
+
+    Emits a ``RankDeficiencyWarning`` when some columns are dependent.
+    """
     n, q = X.shape
     _, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        return np.array([], dtype=int)
-    tol = diag[0] * max(n, q) * np.finfo(float).eps
-    rank = int(np.sum(diag > tol))
-    return np.sort(piv[:rank])
-
-
-def _fit_one(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
-    keep = _column_rank(X)
-    q = X.shape[1]
-    if keep.size < q:
+    rank = 0
+    if diag.size > 0 and diag[0] > 0.0:
+        rank = int(np.sum(diag > diag[0] * max(n, q) * np.finfo(float).eps))
+    if rank < q:
         warnings.warn(
-            f"design has rank {keep.size} < {q}; dependent columns dropped",
+            f"design has rank {rank} < {q}; dependent columns dropped",
             RankDeficiencyWarning,
             stacklevel=3,
         )
-    beta = np.zeros(q)
-    if keep.size > 0:
-        beta[keep] = _frisch_newton(X[:, keep], y, tau)
-    return beta
+    return np.sort(piv[:rank])
 
 
 def qr_fit(problem: QrProblem) -> np.ndarray:
@@ -218,60 +199,52 @@ def qr_fit(problem: QrProblem) -> np.ndarray:
     Returns
     -------
     ndarray, shape (q,)
-        Minimizer of ``sum_i rho_tau(y_i - x_i' b)``. With a rank-deficient
-        design, dependent columns get zero coefficients and a
-        ``RankDeficiencyWarning`` is emitted.
+        Minimizer of ``sum_i rho_tau(y_i - x_i' b)``; see ``qr_fit_multi``.
     """
-    return _fit_one(problem.design, problem.response, problem.tau)
+    return qr_fit_multi(problem.design, problem.response[:, None], problem.tau)[:, 0]
 
 
-def qr_fit_multi(
-    design: np.ndarray,
-    responses: np.ndarray,
-    tau: float,
-    includes_intercept: bool = False,
-) -> QrCoefMatrix:
+def qr_fit_multi(design: np.ndarray, responses: np.ndarray, tau: float) -> np.ndarray:
     """Fit one quantile regression per response column on a shared design.
 
     Parameters
     ----------
     design : ndarray, shape (n, q)
+        Include a column of ones for an intercept.
     responses : ndarray, shape (n, K)
     tau : float
         Quantile level in (0, 1).
-    includes_intercept : bool
-        Recorded on the result; set when column 0 of the design is ones.
 
     Returns
     -------
-    QrCoefMatrix
-        Coefficient matrix of shape (q, K); column k solves response column k.
+    ndarray, shape (q, K)
+        Column k minimizes ``sum_i rho_tau(y_ik - x_i' b)``. With a
+        rank-deficient design, dependent columns get zero coefficients and a
+        ``RankDeficiencyWarning`` is emitted.
     """
-    design = np.asarray(design, dtype=float)
-    responses = np.asarray(responses, dtype=float)
-    if responses.ndim != 2 or responses.shape[0] != design.shape[0]:
-        raise ValueError("responses must be (n, K) with n matching the design")
-    coefs = np.empty((design.shape[1], responses.shape[1]))
-    for k in range(responses.shape[1]):
-        problem = QrProblem(design, responses[:, k], tau)
-        try:
-            coefs[:, k] = qr_fit(problem)
-        except NumericalError as exc:
-            raise NumericalError(f"response column {k}: {exc}") from exc
-    return QrCoefMatrix(coefs, tau, includes_intercept)
+    design, responses = _validate(design, responses, tau, ndim=2)
+    keep = _column_rank(design)
+    coefs = np.zeros((design.shape[1], responses.shape[1]))
+    if keep.size > 0:
+        X = design[:, keep]
+        for k in range(responses.shape[1]):
+            try:
+                coefs[keep, k] = _frisch_newton(X, responses[:, k], tau)
+            except NumericalError as exc:
+                raise NumericalError(f"response column {k}: {exc}") from exc
+    return coefs
 
 
 def qr_objective(
-    design: np.ndarray, responses: np.ndarray, coefs: QrCoefMatrix
+    design: np.ndarray, responses: np.ndarray, coefs: np.ndarray, tau: float
 ) -> np.ndarray:
-    """Check-loss objective per response column at the given coefficients."""
+    """Check-loss objective per response column at the (q, K) coefficients."""
     design = np.asarray(design, dtype=float)
     responses = np.asarray(responses, dtype=float)
     if responses.ndim == 1:
         responses = responses[:, None]
     if design.shape[0] != responses.shape[0]:
         raise ValueError("design and responses must have matching rows")
-    if coefs.coefficients.shape != (design.shape[1], responses.shape[1]):
+    if np.shape(coefs) != (design.shape[1], responses.shape[1]):
         raise ValueError("coefficient matrix shape does not match the problem")
-    resid = responses - design @ coefs.coefficients
-    return check_loss(resid, coefs.tau).sum(axis=0)
+    return check_loss(responses - design @ coefs, tau).sum(axis=0)

@@ -16,10 +16,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bands import MetricsReport, bootstrap_band, cpd, direct_band, interval_score, mspe
+from .bands import (
+    MetricsReport, _fit_for, bootstrap_band, cpd, direct_band, interval_score, mspe,
+)
 from .errors import ConfigError, NumericalError
 from .fdata import FunctionalSample, Grid, make_uniform_grid
-from .model import CoefficientSurface, fit_bspline_ls, fit_fflqr, fit_fpc_ls, predict
+from .model import CoefficientSurface, predict
 from .selection import forward_select, select_truncation
 
 __all__ = [
@@ -366,14 +368,8 @@ def generate_dataset(config: SimConfig, seed) -> SimData:
 def _model_spec(config: SimConfig, data: SimData, model: str) -> tuple:
     """Resolve (predictor labels, k_y, k_x) for one model variant."""
     tau = config.tau
-    if model == "full":
-        D = tuple(range(1, config.M + 1))
-        subset = [data.X_train[i - 1] for i in D]
-        k_y, k_x, _ = select_truncation(
-            data.Y_train, subset, tau, config.k_y_max, config.k_x_max
-        )
-    elif model == "true":
-        D = config.significant
+    if model in ("full", "true"):
+        D = tuple(range(1, config.M + 1)) if model == "full" else config.significant
         subset = [data.X_train[i - 1] for i in D]
         k_y, k_x, _ = select_truncation(
             data.Y_train, subset, tau, config.k_y_max, config.k_x_max
@@ -412,12 +408,7 @@ def _replicate_reports(
         for method in ALL_METHODS:
             if method not in methods:
                 continue
-            if method == "fflqr":
-                fit = fit_fflqr(data.Y_train, X_tr, config.tau, k_y, k_x, D)
-            elif method == "fpc-ls":
-                fit = fit_fpc_ls(data.Y_train, X_tr, k_y, k_x, D)
-            else:
-                fit = fit_bspline_ls(data.Y_train, X_tr, predictor_indices=D)
+            fit = _fit_for(method, data.Y_train, X_tr, config.tau, k_y, k_x, D)
             err = mspe(data.Y_test_signal, predict(fit, X_te))
             band_cpd = band_score = None
             slot = ALL_MODELS.index(model) * (len(ALL_METHODS) + 1) + ALL_METHODS.index(method)
@@ -483,8 +474,8 @@ def run_monte_carlo(
         When given, bootstrap bands (plus a paired-quantile band for the
         check-loss method) are evaluated and CPD/interval score reported.
     n_threads : int, optional
-        Worker threads across replicates; output order and content do not
-        depend on it.
+        Worker threads across replicates, at least 1 (``ConfigError``
+        otherwise); output order and content do not depend on it.
 
     Returns
     -------
@@ -503,7 +494,8 @@ def run_monte_carlo(
     children = np.random.SeedSequence(config.master_seed).spawn(config.n_replicates)
     if n_threads is None:
         n_threads = min(config.n_replicates, os.cpu_count() or 1)
-    n_threads = max(1, n_threads)
+    elif n_threads < 1:
+        raise ConfigError(f"thread count must be at least 1, got {n_threads}")
 
     def task(r):
         try:

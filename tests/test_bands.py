@@ -239,6 +239,22 @@ class TestBootstrapBand:
         with pytest.raises(NumericalError, match="bootstrap refits succeeded"):
             bootstrap_band(Y, [x], [x], 0.5, 0.2, 2, 2, R=4)
 
+    def test_some_failed_refits_are_counted(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        Y, x = driven_pair(rng)
+        real_fit_for = bands_mod._fit_for
+        calls = []
+
+        def fail_every_third(method, Y, X, tau, k_y, k_x):
+            calls.append(method)
+            if len(calls) % 3 == 0:
+                raise NumericalError("refit failed")
+            return real_fit_for(method, Y, X, tau, k_y, k_x)
+
+        monkeypatch.setattr(bands_mod, "_fit_for", fail_every_third)
+        band = bootstrap_band(Y, [x], [x], 0.5, 0.2, 2, 2, R=7)
+        assert band.failed_refits == 2
+
 
 class TestDirectBand:
     def test_bounds_ordered_and_match_quantile_fits(self):

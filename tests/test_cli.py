@@ -120,6 +120,20 @@ class TestFit:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("flags", [
+        ("--tau", "1.5", "--ky", "2", "--kx", "2"),
+        ("--ky", "50", "--kx", "2"),
+        ("--tune", "--ky-max", "30"),
+    ])
+    def test_unsupported_fit_settings_exit_2(self, tmp_path, flags):
+        sim = simulate(tmp_path, n_train=20)
+        code = main([
+            "fit", "--y", str(sim / "Y_train.csv"),
+            "--x", str(sim / "X2_train.csv"), *flags,
+            "--out", str(tmp_path / "f"),
+        ])
+        assert code == 2
+
     def test_tune_writes_full_trace(self, tmp_path):
         sim = simulate(tmp_path)
         out = tmp_path / "tuned"
@@ -175,6 +189,30 @@ class TestPredict:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["predict", "interval"])
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: json.dumps(doc)[:-20],
+        lambda doc: json.dumps({k: v for k, v in doc.items() if k != "coefficients"}),
+        lambda doc: json.dumps({**doc, "coefficients": doc["coefficients"][:-1]}),
+    ], ids=["truncated-json", "no-coefficients", "wrong-shape"])
+    def test_corrupt_model_exits_3(self, tmp_path, command, corrupt):
+        sim = simulate(tmp_path)
+        fitted = fit_dir(tmp_path, sim)
+        model = tmp_path / "corrupt.json"
+        model.write_text(corrupt(json.loads((fitted / "model.json").read_text())))
+        train = []
+        if command == "interval":
+            train = [
+                "--train-y", str(sim / "Y_train.csv"),
+                "--train-x", str(sim / "X2_train.csv"), str(sim / "X4_train.csv"),
+            ]
+        code = main([
+            command, "--model", str(model),
+            "--x", str(sim / "X2_test.csv"), str(sim / "X4_test.csv"), *train,
+            "--out", str(tmp_path / "p"),
+        ])
+        assert code == 3
+
 
 class TestInterval:
     def interval(self, tmp_path, sim, fitted, name, alpha, extra=()):
@@ -202,6 +240,7 @@ class TestInterval:
         assert meta["method"] == "bootstrap"
         assert meta["R"] == 8 and meta["seed"] == 3
         assert meta["crossing_rate"] == 0.0
+        assert meta["failed_refits"] == 0
 
     def test_same_seed_is_byte_identical(self, tmp_path):
         sim = simulate(tmp_path)
@@ -302,6 +341,13 @@ class TestBenchmark:
             "--out", str(tmp_path / "b"),
         ])
         assert code == 2
+
+    def test_zero_threads_exits_2(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        args = ["benchmark", "--config", str(cfg), "--out", str(tmp_path / "b")]
+        assert main([*args, "--threads", "0"]) == 2
+        monkeypatch.setenv("FFLQR_THREADS", "0")
+        assert main(args) == 2
 
     def test_bad_thread_env_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FFLQR_THREADS", "abc")

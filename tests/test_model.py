@@ -78,12 +78,12 @@ class TestFitFflqr:
         Y = FunctionalSample(Y.values + 0.05 * rng.normal(size=Y.values.shape),
                              Y.grid)
         fit = fit_fflqr(Y, [x], 0.5, 1, 1)
-        assert fit.coefs.coefficients.shape == (2, 1)
+        assert fit.coefs.shape == (2, 1)
         zeta = project_scores(fit.predictor_bases[0], x)
         xi = project_scores(fit.response_basis, Y)
         design = np.column_stack([np.ones(50), zeta[:, 0]])
         ref = qr_fit(QrProblem(design, xi[:, 0], 0.5))
-        np.testing.assert_allclose(fit.coefs.coefficients[:, 0], ref, atol=1e-8)
+        np.testing.assert_allclose(fit.coefs[:, 0], ref, atol=1e-8)
 
     def test_sample_size_mismatch_raises(self):
         rng = np.random.default_rng(3)
@@ -137,7 +137,7 @@ class TestPredict:
                  for b in fit.predictor_bases]
         pred = predict(fit, means)
         rb = fit.response_basis
-        expected = rb.mean + fit.coefs.coefficients[0] @ rb.eigenfunctions
+        expected = rb.mean + fit.coefs[0] @ rb.eigenfunctions
         np.testing.assert_allclose(pred.values[0], expected, atol=1e-10)
 
     def test_predictor_count_mismatch_raises(self):
@@ -219,7 +219,7 @@ class TestFpcLs:
         zeta = project_scores(fit.predictor_bases[0], x)[:, 0]
         xi = project_scores(fit.response_basis, Y)[:, 0]
         slope = np.cov(xi, zeta, bias=True)[0, 1] / np.var(zeta)
-        assert fit.coefs.coefficients[1, 0] == pytest.approx(slope, rel=1e-8)
+        assert fit.coefs[1, 0] == pytest.approx(slope, rel=1e-8)
         assert fit.method == "fpc-ls"
 
     def test_duplicated_predictor_warns(self):

@@ -1,17 +1,13 @@
 """Tests for the check-loss solver against brute-force and LP references."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fflqr.errors import RankDeficiencyWarning
-from fflqr.qreg import (
-    QrCoefMatrix,
-    QrProblem,
-    check_loss,
-    qr_fit,
-    qr_fit_multi,
-    qr_objective,
-)
+from fflqr.qreg import QrProblem, check_loss, qr_fit, qr_fit_multi, qr_objective
 from oracles import brute_force_qr, linprog_qr, objective_value
 
 
@@ -181,7 +177,7 @@ class TestQrFitMulti:
         y = rng.normal(size=25)
         single = qr_fit(QrProblem(X, y, 0.3))
         multi = qr_fit_multi(X, y[:, None], 0.3)
-        np.testing.assert_array_equal(multi.coefficients[:, 0], single)
+        np.testing.assert_array_equal(multi[:, 0], single)
 
     def test_duplicated_response_columns(self):
         rng = np.random.default_rng(51)
@@ -189,47 +185,72 @@ class TestQrFitMulti:
         y = rng.normal(size=20)
         Y = np.column_stack([y, y])
         multi = qr_fit_multi(X, Y, 0.5)
-        np.testing.assert_array_equal(
-            multi.coefficients[:, 0], multi.coefficients[:, 1]
-        )
+        np.testing.assert_array_equal(multi[:, 0], multi[:, 1])
 
     def test_columns_match_lp_reference(self):
         rng = np.random.default_rng(52)
         X = np.column_stack([np.ones(50), rng.normal(size=(50, 2))])
         Y = rng.normal(size=(50, 2))
         multi = qr_fit_multi(X, Y, 0.5)
-        obj = qr_objective(X, Y, multi)
+        obj = qr_objective(X, Y, multi, 0.5)
         for k in range(2):
             want, _ = linprog_qr(X, Y[:, k], 0.5)
             assert obj[k] == pytest.approx(want, rel=1e-6, abs=1e-9)
 
-    def test_metadata(self):
+    def test_returns_coefficient_array(self):
         rng = np.random.default_rng(53)
         X = rng.normal(size=(10, 2))
-        multi = qr_fit_multi(X, rng.normal(size=(10, 3)), 0.25, includes_intercept=True)
-        assert isinstance(multi, QrCoefMatrix)
-        assert multi.tau == 0.25
-        assert multi.includes_intercept
-        assert multi.coefficients.shape == (2, 3)
+        multi = qr_fit_multi(X, rng.normal(size=(10, 3)), 0.25)
+        assert isinstance(multi, np.ndarray)
+        assert multi.shape == (2, 3)
+
+    def test_vector_responses_rejected(self):
+        with pytest.raises(ValueError, match=r"\(n, K\)"):
+            qr_fit_multi(np.ones((5, 1)), np.ones(5), 0.5)
 
 
 class TestQrObjective:
     def test_zero_residuals(self):
         X = np.eye(3)
-        coefs = QrCoefMatrix(np.ones((3, 1)), 0.5, False)
-        obj = qr_objective(X, X @ coefs.coefficients, coefs)
+        coefs = np.ones((3, 1))
+        obj = qr_objective(X, X @ coefs, coefs, 0.5)
         np.testing.assert_allclose(obj, 0.0, atol=1e-15)
 
     def test_single_residual_is_check_loss(self):
         X = np.array([[1.0]])
-        coefs = QrCoefMatrix(np.array([[0.0]]), 0.3, False)
-        obj = qr_objective(X, np.array([[-2.0]]), coefs)
+        obj = qr_objective(X, np.array([[-2.0]]), np.array([[0.0]]), 0.3)
         assert obj[0] == pytest.approx(check_loss(-2.0, 0.3))
 
     def test_hand_sum(self):
         X = np.array([[1.0], [1.0], [1.0]])
-        coefs = QrCoefMatrix(np.array([[1.0]]), 0.25, False)
         y = np.array([[0.0], [1.0], [3.0]])
         # residuals -1, 0, 2 -> 0.75 + 0 + 0.5
-        obj = qr_objective(X, y, coefs)
+        obj = qr_objective(X, y, np.array([[1.0]]), 0.25)
         assert obj[0] == pytest.approx(1.25)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 40),
+    tau=st.sampled_from([0.01, 0.3, 0.5, 0.99]),
+    tied=st.booleans(),
+    collinear=st.booleans(),
+)
+def test_multi_is_optimal_for_every_column(seed, n, tau, tied, collinear):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+    if collinear:
+        X = np.column_stack([X, X[:, 1] - 2.0 * X[:, 2]])
+    Y = X[:, :3] @ rng.normal(size=(3, 2)) + rng.standard_t(3, size=(n, 2))
+    if tied:
+        Y = np.round(Y)  # integer responses, many exact ties
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        coefs = qr_fit_multi(X, Y, tau)
+    rank_drops = [w for w in caught if issubclass(w.category, RankDeficiencyWarning)]
+    assert len(rank_drops) == int(collinear)
+    obj = qr_objective(X, Y, coefs, tau)
+    for k in range(Y.shape[1]):
+        want, _ = linprog_qr(X, Y[:, k], tau)
+        assert obj[k] == pytest.approx(want, rel=1e-7, abs=1e-9)
