@@ -73,11 +73,8 @@ class Grid:
     def from_points(cls, points) -> "Grid":
         """Build a grid with trapezoidal weights from the points alone."""
         points = np.asarray(points, dtype=float)
-        if points.ndim != 1 or points.size < 2:
-            raise ValueError("grid needs at least two points")
-        if not np.all(np.diff(points) > 0):
-            raise ValueError("grid points must be strictly increasing")
-        return cls(points, _trapezoid_weights(points))
+        usable = points.ndim == 1 and points.size >= 2
+        return cls(points, _trapezoid_weights(points) if usable else points)
 
     @property
     def size(self) -> int:

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NumericalError
 from .fdata import FunctionalSample
-from .model import fit_fflqr, predict
-from .qreg import check_loss
+from .fpca import fpc_decompose
+from .model import _validate_samples
+from .qreg import check_loss, qr_fit_multi
 
 __all__ = [
     "BicTraceEntry",
@@ -73,11 +74,55 @@ def log_loss_norm(Y: FunctionalSample, fitted: FunctionalSample, tau: float) -> 
     return float(np.sqrt(np.sum(Y.grid.weights * log_loss**2)))
 
 
+def _decompose(Y: FunctionalSample, X, k_y: int, k_xs) -> tuple:
+    """Decompose Y at ``k_y`` and each ``X[m]`` at ``k_xs[m]`` components, once."""
+    _validate_samples(Y, X)
+    basis, xi = fpc_decompose(Y, k_y)
+    return basis, xi, [fpc_decompose(x, k)[1] for x, k in zip(X, k_xs)]
+
+
+def _losses(Y: FunctionalSample, dec, D, tau: float, k_y_max: int, k_x: int) -> list:
+    """``log_loss_norm`` at ``k_y = 1..k_y_max`` on predictor positions ``D``
+    at ``k_x``, from one LP per response score on the shared design."""
+    basis, xi, zetas = dec
+    design = np.hstack([np.ones((Y.n, 1))] + [zetas[m][:, :k_x] for m in D])
+    coefs = qr_fit_multi(design, xi[:, :k_y_max], tau)
+    return [
+        log_loss_norm(Y, FunctionalSample(
+            basis.mean + design @ coefs[:, :k] @ basis.eigenfunctions[:k], Y.grid
+        ), tau)
+        for k in range(1, k_y_max + 1)
+    ]
+
+
 def bic_truncation(Y: FunctionalSample, X, tau: float, k_y: int, k_x: int) -> float:
     """BIC of an (k_y, k_x) truncation: log-loss norm plus ``(k_y + k_x) ln n``."""
-    fit = fit_fflqr(Y, X, tau, k_y, k_x)
-    fitted = predict(fit, X)
-    return log_loss_norm(Y, fitted, tau) + (k_y + k_x) * math.log(Y.n)
+    dec = _decompose(Y, X, k_y, [k_x] * len(X))
+    loss = _losses(Y, dec, range(len(X)), tau, k_y, k_x)[-1]
+    return loss + (k_y + k_x) * math.log(Y.n)
+
+
+def _search_truncation(Y, dec, D, tau: float, k_y_max: int, k_x_max: int) -> tuple:
+    """Exhaustive truncation search with one LP solve per ``k_x``; a failed
+    solve fails every ``k_y`` at that ``k_x``, with its error as the note."""
+    losses, notes = {}, {}
+    for k_x in range(1, k_x_max + 1):
+        try:
+            losses[k_x] = _losses(Y, dec, D, tau, k_y_max, k_x)
+        except NumericalError as exc:
+            losses[k_x], notes[k_x] = [math.nan] * k_y_max, str(exc)
+    trace = [
+        BicTraceEntry("truncation", f"K=({k_y},{k_x})", k_y, k_x,
+                      losses[k_x][k_y - 1] + (k_y + k_x) * math.log(Y.n), False,
+                      notes.get(k_x, ""))
+        for k_y in range(1, k_y_max + 1)
+        for k_x in range(1, k_x_max + 1)
+    ]
+    fitted = [e for e in trace if not math.isnan(e.bic)]
+    if not fitted:
+        raise NumericalError("every truncation candidate failed to fit")
+    best = min(fitted, key=lambda e: (e.bic, e.k_y + e.k_x, e.k_y))
+    return best.k_y, best.k_x, tuple(replace(e, accepted=e is best) for e in trace)
 
 
 def select_truncation(
@@ -93,32 +138,8 @@ def select_truncation(
     """
     if k_y_max < 1 or k_x_max < 1:
         raise ValueError("truncation maxima must be at least 1")
-    trace = []
-    best = None
-    best_key = None
-    for k_y in range(1, k_y_max + 1):
-        for k_x in range(1, k_x_max + 1):
-            label = f"K=({k_y},{k_x})"
-            try:
-                bic = bic_truncation(Y, X, tau, k_y, k_x)
-            except NumericalError as exc:
-                trace.append(
-                    BicTraceEntry("truncation", label, k_y, k_x, math.nan, False, str(exc))
-                )
-                continue
-            trace.append(BicTraceEntry("truncation", label, k_y, k_x, bic, False))
-            key = (bic, k_y + k_x, k_y)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (k_y, k_x)
-    if best is None:
-        raise NumericalError("every truncation candidate failed to fit")
-    trace = [
-        BicTraceEntry(e.stage, e.candidate, e.k_y, e.k_x, e.bic,
-                      (e.k_y, e.k_x) == best and math.isfinite(e.bic), e.note)
-        for e in trace
-    ]
-    return best[0], best[1], tuple(trace)
+    dec = _decompose(Y, X, k_y_max, [k_x_max] * len(X))
+    return _search_truncation(Y, dec, range(len(X)), tau, k_y_max, k_x_max)
 
 
 def bic_candidate(
@@ -128,12 +149,11 @@ def bic_candidate(
     D = tuple(D)
     if len(D) == 0:
         raise ValueError("candidate predictor set must be nonempty")
-    if len(D) != len(X_subset):
-        raise ValueError("one predictor sample per index in D required")
-    fit = fit_fflqr(Y, X_subset, tau, k_y, k_x, predictor_indices=D)
-    fitted = predict(fit, X_subset)
-    n = Y.n
-    return log_loss_norm(Y, fitted, tau) + len(D) * math.log(n) / (2 * n)
+    if len(D) != len(X_subset) or len(set(D)) != len(D):
+        raise ValueError("one predictor sample per distinct index in D required")
+    dec = _decompose(Y, X_subset, k_y, [k_x] * len(D))
+    loss = _losses(Y, dec, range(len(D)), tau, k_y, k_x)[-1]
+    return loss + len(D) * math.log(Y.n) / (2 * Y.n)
 
 
 def _improves(bic_prev: float, bic_new: float, ratio_threshold: float) -> bool:
@@ -161,7 +181,7 @@ def forward_select(
     the best extension and accepts it only if the BIC improves by at least
     ``1 - ratio_threshold`` of the current value. After the set is fixed,
     the truncation pair is re-tuned on it by exhaustive search up to
-    ``(k_y_max, k_x_max)``.
+    ``(k_y_max, k_x_max)``. Each sample is decomposed once for all of this.
 
     Parameters
     ----------
@@ -178,67 +198,45 @@ def forward_select(
     k_y_max, k_x_max : int
         Grid bounds for the final truncation search.
     """
-    M = len(X)
-    if M < 1:
+    if len(X) < 1:
         raise ValueError("need at least one candidate predictor")
-    labels = tuple(range(1, M + 1))
-    trace = []
-
-    def evaluate(stage, D):
-        subset = [X[i - 1] for i in D]
-        label = "{" + ",".join(str(i) for i in D) + "}"
-        try:
-            bic = bic_candidate(Y, subset, tau, D, fixed_k, fixed_k)
-        except NumericalError as exc:
-            trace.append(
-                BicTraceEntry(stage, label, fixed_k, fixed_k, math.nan, False, str(exc))
-            )
-            return None
-        entry = BicTraceEntry(stage, label, fixed_k, fixed_k, bic, False)
-        trace.append(entry)
-        return bic
-
-    chosen = []
-    current_bic = None
-    remaining = list(labels)
-    stage_no = 1
+    if min(fixed_k, k_y_max, k_x_max) < 1:
+        raise ValueError("fixed_k and the truncation maxima must be at least 1")
+    n = Y.n
+    k_y_cap = min(k_y_max, n - 1, Y.grid.size)
+    k_xs = [max(fixed_k, min(k_x_max, n - 1, x.grid.size)) for x in X]
+    dec = _decompose(Y, X, max(fixed_k, k_y_cap), k_xs)
+    trace, chosen, current_bic = [], [], None
+    remaining = list(range(1, len(X) + 1))
     while remaining:
-        stage = f"stage{stage_no}"
+        stage = f"stage{len(chosen) + 1}"
         results = []
         for label in remaining:
-            bic = evaluate(stage, tuple(chosen) + (label,))
-            if bic is not None:
-                results.append((bic, label))
+            D = chosen + [label]
+            try:
+                loss = _losses(Y, dec, [i - 1 for i in D], tau, fixed_k, fixed_k)[-1]
+            except NumericalError as exc:
+                bic, note = math.nan, str(exc)
+            else:
+                bic, note = loss + len(D) * math.log(n) / (2 * n), ""
+                results.append((bic, label, len(trace)))
+            name = "{" + ",".join(str(i) for i in D) + "}"
+            trace.append(BicTraceEntry(stage, name, fixed_k, fixed_k, bic, False, note))
         if not results:
             break
-        best_bic, best_label = min(results)
-        if stage_no == 1 or _improves(current_bic, best_bic, ratio_threshold):
-            best_name = "{" + ",".join(str(i) for i in chosen + [best_label]) + "}"
-            idx = next(
-                i
-                for i, e in enumerate(trace)
-                if e.stage == stage and e.candidate == best_name
-            )
-            trace[idx] = BicTraceEntry(
-                trace[idx].stage, trace[idx].candidate, trace[idx].k_y,
-                trace[idx].k_x, trace[idx].bic, True, trace[idx].note,
-            )
-            chosen.append(best_label)
-            remaining.remove(best_label)
-            current_bic = best_bic
-            stage_no += 1
-        else:
+        best_bic, best_label, idx = min(results)
+        if chosen and not _improves(current_bic, best_bic, ratio_threshold):
             break
-
+        trace[idx] = replace(trace[idx], accepted=True)
+        chosen.append(best_label)
+        remaining.remove(best_label)
+        current_bic = best_bic
     if not chosen:
         raise NumericalError("no predictor candidate could be fit")
-
-    subset = [X[i - 1] for i in chosen]
-    k_y_cap = min(k_y_max, Y.n - 1, Y.grid.size)
-    k_x_cap = min([k_x_max, Y.n - 1] + [x.grid.size for x in subset])
-    k_y, k_x, k_trace = select_truncation(Y, subset, tau, k_y_cap, k_x_cap)
-    trace.extend(k_trace)
-    return SelectionResult(k_y, k_x, tuple(chosen), tuple(trace))
+    D = [i - 1 for i in chosen]
+    k_x_cap = min([k_x_max, n - 1] + [X[m].grid.size for m in D])
+    k_y, k_x, k_trace = _search_truncation(Y, dec, D, tau, k_y_cap, k_x_cap)
+    return SelectionResult(k_y, k_x, tuple(chosen), tuple(trace) + k_trace)
 
 
 def write_trace_csv(result: SelectionResult, path) -> None:

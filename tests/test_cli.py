@@ -124,6 +124,8 @@ class TestFit:
         ("--tau", "1.5", "--ky", "2", "--kx", "2"),
         ("--ky", "50", "--kx", "2"),
         ("--tune", "--ky-max", "30"),
+        ("--select", "--fixed-k", "0"),
+        ("--select", "--ky-max", "0"),
     ])
     def test_unsupported_fit_settings_exit_2(self, tmp_path, flags):
         sim = simulate(tmp_path, n_train=20)

@@ -1,7 +1,12 @@
 """Tests for grids, functional samples, and CSV round trips."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fflqr.errors import DataError
 from fflqr.fdata import (
@@ -155,3 +160,28 @@ class TestCsvRoundTrip:
         path.write_text("0.0,1.0,0.5\n1.0,2.0,3.0\n")
         with pytest.raises(DataError, match="strictly increasing"):
             read_sample_csv(path)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    points=st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True),
+        min_size=2, max_size=8, unique=True,
+    ).map(sorted),
+    n=st.integers(1, 4),
+    data=st.data(),
+)
+def test_csv_round_trip_property(points, n, data):
+    g = Grid.from_points(points)
+    values = data.draw(arrays(np.float64, (n, g.size), elements=st.floats(
+        allow_nan=False, allow_infinity=False, allow_subnormal=True,
+    )))
+    sample = FunctionalSample(values, g)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sample.csv"
+        write_sample_csv(sample, path)
+        back = read_sample_csv(path)
+    # bit-for-bit, so signed zeros and subnormals must survive too
+    assert back.values.tobytes() == sample.values.tobytes()
+    assert back.grid.points.tobytes() == sample.grid.points.tobytes()
+    np.testing.assert_array_equal(back.grid.weights, sample.grid.weights)

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fflqr.fdata import FunctionalSample, inner_product, make_uniform_grid
+from fflqr.fdata import FunctionalSample, Grid, inner_product, make_uniform_grid
 from fflqr.fpca import fpc_decompose, project_scores, reconstruct
 
 
@@ -144,3 +145,38 @@ class TestProjectScores:
         basis, _ = fpc_decompose(smooth_sample(rng, 10, g), 2)
         with pytest.raises(ValueError, match="grid"):
             project_scores(basis, smooth_sample(rng, 5, other))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 30),
+    p=st.integers(2, 40),
+    uniform=st.booleans(),
+    repeated=st.booleans(),
+)
+def test_decomposition_invariants(seed, n, p, uniform, repeated):
+    rng = np.random.default_rng(seed)
+    if uniform:
+        g = make_uniform_grid(p, 0.0, 1.0)
+    else:
+        g = Grid.from_points(np.cumsum(rng.uniform(0.05, 2.0, size=p)))
+    vals = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+    if repeated:
+        vals[n // 2:] = vals[: n - n // 2]  # rank-deficient: repeated curves
+    sample = FunctionalSample(vals, g)
+    k_max = min(n - 1, p)
+    big, big_scores = fpc_decompose(sample, k_max)
+
+    gram = (big.eigenfunctions * g.weights) @ big.eigenfunctions.T
+    np.testing.assert_allclose(gram, np.eye(k_max), atol=1e-10)
+    assert np.all(big.eigenvalues >= 0)
+    assert np.all(np.diff(big.eigenvalues) <= 0)
+
+    # truncation nesting: K components are the first K of a larger decomposition
+    k = int(rng.integers(1, k_max + 1))
+    basis, scores = fpc_decompose(sample, k)
+    np.testing.assert_array_equal(basis.eigenfunctions, big.eigenfunctions[:k])
+    np.testing.assert_array_equal(basis.eigenvalues, big.eigenvalues[:k])
+    scale = max(np.abs(big_scores).max(), np.finfo(float).tiny)
+    assert np.abs(scores - big_scores[:, :k]).max() <= 1e-12 * scale

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from fflqr import selection
+from fflqr.errors import NumericalError
 from fflqr.fdata import FunctionalSample, make_uniform_grid
 from fflqr.model import fit_fflqr, predict
 from fflqr.selection import (
@@ -212,6 +214,118 @@ class TestForwardSelect:
         res = forward_select(Y, xs, 0.5, k_y_max=3, k_x_max=3)
         assert 1 <= res.chosen_k_y <= 3
         assert 1 <= res.chosen_k_x <= 3
+
+
+def refit_loss(Y, X, tau, k_y, k_x, D=None):
+    """Log-loss norm of a model refit from scratch and re-projected."""
+    fit = fit_fflqr(Y, X, tau, k_y, k_x, predictor_indices=D)
+    return log_loss_norm(Y, predict(fit, X), tau)
+
+
+class TestTruncationNesting:
+    """Scores sliced from one decomposition give the BICs of full refits."""
+
+    @pytest.mark.parametrize("seed", [20, 21, 22])
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])
+    def test_truncation_trace_matches_refits(self, seed, tau):
+        rng = np.random.default_rng(seed)
+        Y, xs = noisy_pair(rng)
+        _, _, trace = select_truncation(Y, xs, tau, 4, 3)
+        assert len(trace) == 12
+        for e in trace:
+            want = refit_loss(Y, xs, tau, e.k_y, e.k_x) + (e.k_y + e.k_x) * math.log(Y.n)
+            assert e.bic == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("seed", [23, 24])
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("fixed_k", [1, 2])
+    def test_forward_trace_matches_refits(self, seed, tau, fixed_k):
+        rng = np.random.default_rng(seed)
+        Y, xs = noisy_pair(rng, m=3)
+        n = Y.n
+        res = forward_select(Y, xs, tau, fixed_k=fixed_k, k_y_max=3, k_x_max=3)
+        for e in res.bic_trace:
+            if e.stage == "truncation":
+                sub = [xs[i - 1] for i in res.chosen_predictors]
+                penalty = (e.k_y + e.k_x) * math.log(n)
+                want = refit_loss(Y, sub, tau, e.k_y, e.k_x) + penalty
+            else:
+                D = tuple(int(i) for i in e.candidate.strip("{}").split(","))
+                sub = [xs[i - 1] for i in D]
+                penalty = len(D) * math.log(n) / (2 * n)
+                want = refit_loss(Y, sub, tau, e.k_y, e.k_x, D) + penalty
+            assert e.bic == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+class TestSolveFailures:
+    @staticmethod
+    def failing_at(width):
+        real = selection.qr_fit_multi
+
+        def solve(design, responses, tau):
+            if width is None or design.shape[1] == width:
+                raise NumericalError(f"no convergence at width {design.shape[1]}")
+            return real(design, responses, tau)
+
+        return solve
+
+    def test_failed_solve_fails_its_k_x(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        Y, xs = noisy_pair(rng)
+        # two predictors at k_x = 2 give a 1 + 2 * 2 column design
+        monkeypatch.setattr(selection, "qr_fit_multi", self.failing_at(5))
+        k_y, k_x, trace = select_truncation(Y, xs, 0.5, 3, 3)
+        assert [(e.k_y, e.k_x) for e in trace] == [
+            (ky, kx) for ky in (1, 2, 3) for kx in (1, 2, 3)
+        ]
+        for e in trace:
+            if e.k_x == 2:
+                assert math.isnan(e.bic) and not e.accepted
+                assert e.note == "no convergence at width 5"
+            else:
+                assert math.isfinite(e.bic) and e.note == ""
+        rest = [e for e in trace if e.k_x != 2]
+        best = min(rest, key=lambda e: (e.bic, e.k_y + e.k_x, e.k_y))
+        assert (k_y, k_x) == (best.k_y, best.k_x)
+        assert [e for e in trace if e.accepted] == [best]
+
+    def test_failed_stage_candidates_are_kept_in_trace(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        Y, xs = noisy_pair(rng, m=3)
+        # every two-predictor candidate at K = 2 has 5 design columns
+        monkeypatch.setattr(selection, "qr_fit_multi", self.failing_at(5))
+        res = forward_select(Y, xs, 0.5, k_y_max=3, k_x_max=3)
+        stage2 = [e for e in res.bic_trace if e.stage == "stage2"]
+        assert len(stage2) == 2
+        assert all(math.isnan(e.bic) and not e.accepted for e in stage2)
+        assert all(e.note == "no convergence at width 5" for e in stage2)
+        assert len(res.chosen_predictors) == 1
+
+    def test_every_solve_failing_raises(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        Y, xs = noisy_pair(rng)
+        monkeypatch.setattr(selection, "qr_fit_multi", self.failing_at(None))
+        with pytest.raises(NumericalError, match="every truncation candidate failed to fit"):
+            select_truncation(Y, xs, 0.5, 2, 2)
+        with pytest.raises(NumericalError, match="no predictor candidate could be fit"):
+            forward_select(Y, xs, 0.5)
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("kwargs", [
+        {"fixed_k": 0}, {"k_y_max": 0}, {"k_x_max": 0}, {"fixed_k": 40},
+    ])
+    def test_forward_select_rejects_bad_truncations(self, kwargs):
+        Y, xs = noisy_pair(np.random.default_rng(33))
+        with pytest.raises(ValueError):
+            forward_select(Y, xs, 0.5, **kwargs)
+
+    @pytest.mark.parametrize("k_y_max, k_x_max", [(0, 2), (2, 0), (40, 2), (2, 26)])
+    def test_select_truncation_rejects_bad_maxima(self, k_y_max, k_x_max):
+        # 40 curves on 25 points: at most min(n - 1, p) = 25 components
+        Y, xs = noisy_pair(np.random.default_rng(34))
+        with pytest.raises(ValueError):
+            select_truncation(Y, xs, 0.5, k_y_max, k_x_max)
 
 
 class TestTraceCsv:
