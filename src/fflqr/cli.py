@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -57,7 +56,7 @@ def _out_dir(path_str: str) -> Path:
     return out
 
 
-def _write_manifest(out, command, config, inputs, outputs, seed, started):
+def _write_manifest(out, command, config, inputs, outputs, seed, started, **extra):
     doc = {
         "command": command,
         "config": config,
@@ -67,6 +66,7 @@ def _write_manifest(out, command, config, inputs, outputs, seed, started):
         "version": __version__,
         "started": started,
         "finished": _now(),
+        **extra,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
@@ -297,18 +297,11 @@ def cmd_benchmark(args) -> int:
     out = _out_dir(args.out)
     methods = args.methods.split(",") if args.methods else list(ALL_METHODS)
     models = args.models.split(",") if args.models else list(ALL_MODELS)
-    n_threads = args.threads
-    if n_threads is None:
-        env = os.environ.get("FFLQR_THREADS")
-        if env is not None:
-            try:
-                n_threads = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"FFLQR_THREADS={env!r} is not an integer") from exc
-
     reports = run_monte_carlo(
-        config, methods, models, alpha=args.alpha, n_threads=n_threads
+        config, methods, models, alpha=args.alpha, n_threads=args.threads
     )
+    done = {r.replicate for r in reports}
+    failed = [r for r in range(config.n_replicates) if r not in done]
     write_results_csv(reports, out / "results.csv")
 
     with open(out / "summary.csv", "w", encoding="utf-8") as fh:
@@ -339,7 +332,7 @@ def cmd_benchmark(args) -> int:
         },
         [args.config] if args.config else [],
         ["results.csv", "summary.csv", "long.csv"],
-        config.master_seed, started,
+        config.master_seed, started, failed_replicates=failed,
     )
     return 0
 
@@ -413,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float,
                    help="when set, also evaluate prediction bands")
     p.add_argument("--threads", type=int,
-                   help="worker threads (default: FFLQR_THREADS or all cores)")
+                   help="worker threads (default: all cores)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_benchmark)
     return parser

@@ -24,9 +24,6 @@ __all__ = [
     "write_sample_csv",
 ]
 
-# 17 significant digits round-trips any float64 exactly through text.
-_FLOAT_FMT = "{:.17g}"
-
 
 def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
     """Trapezoidal quadrature weights for strictly increasing points."""
@@ -177,21 +174,22 @@ def read_sample_csv(path) -> FunctionalSample:
     """Read a functional sample from wide CSV.
 
     The first line holds the comma-separated grid points; each following
-    line holds one curve. Ragged rows are rejected.
+    line holds one curve. Blank lines are skipped, and errors name the line
+    of the file. Ragged rows are rejected.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+        lines = [(i, s.strip()) for i, s in enumerate(fh, start=1) if s.strip()]
     if len(lines) < 2:
         raise DataError(f"{path}: need a grid line and at least one curve line")
     rows = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in lines:
         try:
             row = [float(tok) for tok in line.split(",")]
         except ValueError as exc:
             raise DataError(f"{path}: line {lineno}: non-numeric entry") from exc
         rows.append(row)
     width = len(rows[0])
-    for lineno, row in enumerate(rows[1:], start=2):
+    for (lineno, _), row in zip(lines[1:], rows[1:]):
         if len(row) != width:
             raise DataError(
                 f"{path}: line {lineno} has {len(row)} fields, expected {width}"
@@ -204,10 +202,10 @@ def read_sample_csv(path) -> FunctionalSample:
 
 
 def write_sample_csv(sample: FunctionalSample, path) -> None:
-    """Write a functional sample in the wide CSV format used by this package."""
+    """Write a functional sample in the wide CSV format used by this package.
+
+    17 significant digits round-trip any float64 exactly through text.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(_FLOAT_FMT.format(x) for x in sample.grid.points))
-        fh.write("\n")
-        for row in sample.values:
-            fh.write(",".join(_FLOAT_FMT.format(x) for x in row))
-            fh.write("\n")
+        np.savetxt(fh, sample.grid.points[None, :], fmt="%.17g", delimiter=",")
+        np.savetxt(fh, sample.values, fmt="%.17g", delimiter=",")

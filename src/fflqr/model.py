@@ -135,16 +135,31 @@ def _resolve_indices(X, predictor_indices):
     return predictor_indices
 
 
-def _score_design(Y, X, k_y, k_x):
-    """Decompose all samples and assemble the intercept-plus-scores design."""
-    response_basis, xi = fpc_decompose(Y, k_y)
-    bases = []
-    blocks = [np.ones((Y.n, 1))]
-    for x in X:
-        basis, zeta = fpc_decompose(x, k_x)
-        bases.append(basis)
-        blocks.append(zeta)
-    return response_basis, xi, tuple(bases), np.hstack(blocks)
+def _decompose(Y: FunctionalSample, X, k_y: int, k_xs) -> tuple:
+    """Validate the samples, then decompose Y at ``k_y`` and each ``X[m]`` at
+    ``k_xs[m]`` components: the response ``(basis, scores)`` and a list of
+    ``(basis, scores)``, one per predictor."""
+    _validate_samples(Y, X)
+    return fpc_decompose(Y, k_y), [fpc_decompose(x, k) for x, k in zip(X, k_xs)]
+
+
+def _design(blocks) -> np.ndarray:
+    """An intercept column in front of the per-predictor blocks."""
+    blocks = list(blocks)
+    return np.hstack([np.ones((blocks[0].shape[0], 1))] + blocks)
+
+
+def _fit_scores(Y, X, tau, k_y, k_x, predictor_indices, method) -> FflqrFit:
+    """Score-space fit of ``fit_fflqr`` (check loss) or ``fit_fpc_ls``."""
+    indices = _resolve_indices(X, predictor_indices)
+    (response_basis, xi), preds = _decompose(Y, X, k_y, [k_x] * len(X))
+    design = _design(zeta for _, zeta in preds)
+    if method == "fflqr":
+        coefs = qr_fit_multi(design, xi, tau)
+    else:
+        coefs = _ls_solve(design, xi)
+    bases = tuple(basis for basis, _ in preds)
+    return FflqrFit(tau, response_basis, bases, coefs, indices, method)
 
 
 def fit_fflqr(
@@ -175,11 +190,7 @@ def fit_fflqr(
     -------
     FflqrFit
     """
-    _validate_samples(Y, X)
-    indices = _resolve_indices(X, predictor_indices)
-    response_basis, xi, bases, design = _score_design(Y, X, k_y, k_x)
-    coefs = qr_fit_multi(design, xi, tau)
-    return FflqrFit(tau, response_basis, bases, coefs, indices, "fflqr")
+    return _fit_scores(Y, X, tau, k_y, k_x, predictor_indices, "fflqr")
 
 
 def fit_fpc_ls(
@@ -190,11 +201,7 @@ def fit_fpc_ls(
     predictor_indices=None,
 ) -> FflqrFit:
     """Least squares counterpart of ``fit_fflqr`` on the same score design."""
-    _validate_samples(Y, X)
-    indices = _resolve_indices(X, predictor_indices)
-    response_basis, xi, bases, design = _score_design(Y, X, k_y, k_x)
-    coefs = _ls_solve(design, xi)
-    return FflqrFit(0.5, response_basis, bases, coefs, indices, "fpc-ls")
+    return _fit_scores(Y, X, 0.5, k_y, k_x, predictor_indices, "fpc-ls")
 
 
 def _ls_solve(design: np.ndarray, responses: np.ndarray) -> np.ndarray:
@@ -223,7 +230,21 @@ def _basis_coordinates(sample: FunctionalSample, n_basis: int, order: int):
             f"singular B-spline Gram matrix (n_basis={n_basis} too large for "
             f"a {grid.size}-point grid)"
         ) from exc
-    return coords, gram, B
+    return coords, gram
+
+
+def _bspline_design(X, grids, n_basis: int, order: int) -> np.ndarray:
+    """Intercept-plus-blocks design of predictor B-spline inner products;
+    each ``X[m]`` must lie on ``grids[m]``."""
+    blocks = []
+    for grid, x in zip(grids, X):
+        if not x.grid.close_to(grid):
+            raise ValueError("predictor grid does not match the fitted grid")
+        if n_basis > x.grid.size:
+            raise ValueError("n_basis exceeds the number of predictor grid points")
+        coords, gram = _basis_coordinates(x, n_basis, order)
+        blocks.append(coords @ gram)
+    return _design(blocks)
 
 
 def fit_bspline_ls(
@@ -246,23 +267,10 @@ def fit_bspline_ls(
     _validate_samples(Y, X)
     indices = _resolve_indices(X, predictor_indices)
 
-    d_resp, _, _ = _basis_coordinates(Y, n_basis, order)
-    blocks = [np.ones((Y.n, 1))]
-    for x in X:
-        if n_basis > x.grid.size:
-            raise ValueError("n_basis exceeds the number of predictor grid points")
-        coords, gram, _ = _basis_coordinates(x, n_basis, order)
-        blocks.append(coords @ gram)
-    design = np.hstack(blocks)
-    theta = _ls_solve(design, d_resp)
-    return BsplineLsFit(
-        theta,
-        Y.grid,
-        tuple(x.grid for x in X),
-        n_basis,
-        order,
-        indices,
-    )
+    grids = tuple(x.grid for x in X)
+    d_resp, _ = _basis_coordinates(Y, n_basis, order)
+    theta = _ls_solve(_bspline_design(X, grids, n_basis, order), d_resp)
+    return BsplineLsFit(theta, Y.grid, grids, n_basis, order, indices)
 
 
 def _projected_design(fit: FflqrFit, X) -> np.ndarray:
@@ -271,10 +279,7 @@ def _projected_design(fit: FflqrFit, X) -> np.ndarray:
         raise ValueError(
             f"model uses {len(fit.predictor_bases)} predictors, got {len(X)}"
         )
-    blocks = [np.ones((X[0].n, 1))]
-    for basis, x in zip(fit.predictor_bases, X):
-        blocks.append(project_scores(basis, x))
-    return np.hstack(blocks)
+    return _design(project_scores(b, x) for b, x in zip(fit.predictor_bases, X))
 
 
 def _predict_scores(fit: FflqrFit, X_new) -> FunctionalSample:
@@ -287,13 +292,8 @@ def _predict_bspline(fit: BsplineLsFit, X_new) -> FunctionalSample:
         raise ValueError(
             f"model uses {len(fit.predictor_grids)} predictors, got {len(X_new)}"
         )
-    blocks = [np.ones((X_new[0].n, 1))]
-    for grid, x in zip(fit.predictor_grids, X_new):
-        if not x.grid.close_to(grid):
-            raise ValueError("predictor grid does not match the fitted grid")
-        coords, gram, _ = _basis_coordinates(x, fit.n_basis, fit.order)
-        blocks.append(coords @ gram)
-    d_hat = np.hstack(blocks) @ fit.theta
+    design = _bspline_design(X_new, fit.predictor_grids, fit.n_basis, fit.order)
+    d_hat = design @ fit.theta
     g = fit.response_grid
     B_resp = bspline_design(g.points, fit.n_basis, fit.order, g.points[0], g.points[-1])
     return FunctionalSample(d_hat @ B_resp.T, g)

@@ -9,8 +9,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .fdata import FunctionalSample
-from .fpca import fpc_decompose
-from .model import _validate_samples
+from .model import _decompose, _design
 from .qreg import check_loss, qr_fit_multi
 
 __all__ = [
@@ -74,18 +73,11 @@ def log_loss_norm(Y: FunctionalSample, fitted: FunctionalSample, tau: float) -> 
     return float(np.sqrt(np.sum(Y.grid.weights * log_loss**2)))
 
 
-def _decompose(Y: FunctionalSample, X, k_y: int, k_xs) -> tuple:
-    """Decompose Y at ``k_y`` and each ``X[m]`` at ``k_xs[m]`` components, once."""
-    _validate_samples(Y, X)
-    basis, xi = fpc_decompose(Y, k_y)
-    return basis, xi, [fpc_decompose(x, k)[1] for x, k in zip(X, k_xs)]
-
-
 def _losses(Y: FunctionalSample, dec, D, tau: float, k_y_max: int, k_x: int) -> list:
     """``log_loss_norm`` at ``k_y = 1..k_y_max`` on predictor positions ``D``
     at ``k_x``, from one LP per response score on the shared design."""
-    basis, xi, zetas = dec
-    design = np.hstack([np.ones((Y.n, 1))] + [zetas[m][:, :k_x] for m in D])
+    (basis, xi), preds = dec
+    design = _design(preds[m][1][:, :k_x] for m in D)
     coefs = qr_fit_multi(design, xi[:, :k_y_max], tau)
     return [
         log_loss_norm(Y, FunctionalSample(

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import fflqr.simulate as sim_mod
 from fflqr.cli import main
+from fflqr.errors import NumericalError
 from fflqr.fdata import read_sample_csv
 from fflqr.model import fit_fpc_ls, load_model, predict, save_model
 from fflqr.simulate import SimConfig
@@ -344,18 +346,22 @@ class TestBenchmark:
         ])
         assert code == 2
 
-    def test_zero_threads_exits_2(self, tmp_path, monkeypatch):
+    def test_zero_threads_exits_2(self, tmp_path):
         cfg = write_config(tmp_path)
         args = ["benchmark", "--config", str(cfg), "--out", str(tmp_path / "b")]
         assert main([*args, "--threads", "0"]) == 2
-        monkeypatch.setenv("FFLQR_THREADS", "0")
-        assert main(args) == 2
 
-    def test_bad_thread_env_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FFLQR_THREADS", "abc")
-        cfg = write_config(tmp_path)
-        code = main([
-            "benchmark", "--config", str(cfg),
-            "--out", str(tmp_path / "b"),
-        ])
-        assert code == 2
+    def test_failed_replicates_are_recorded(self, tmp_path, monkeypatch):
+        real = sim_mod._replicate_reports
+
+        def fail_replicate_1(config, replicate, *rest):
+            if replicate == 1:
+                raise NumericalError("replicate 1 failed")
+            return real(config, replicate, *rest)
+
+        monkeypatch.setattr(sim_mod, "_replicate_reports", fail_replicate_1)
+        out = self.run_benchmark(tmp_path, "bench", extra=("--replicates", "5"))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed_replicates"] == [1]
+        summary = (out / "summary.csv").read_text().splitlines()[1:]
+        assert summary and all(line.split(",")[-1] == "4" for line in summary)

@@ -130,6 +130,17 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.values, s.values)
         np.testing.assert_array_equal(back.grid.points, s.grid.points)
 
+    def test_written_text_is_pinned(self, tmp_path):
+        g = Grid.from_points([0.0, 0.5, 1.0])
+        s = FunctionalSample(np.array([[-0.0, 5e-324, 0.1], [1 / 3, 2.0, -1e300]]), g)
+        path = tmp_path / "s.csv"
+        write_sample_csv(s, path)
+        assert path.read_bytes() == (
+            b"0,0.5,1\n"
+            b"-0,4.9406564584124654e-324,0.10000000000000001\n"
+            b"0.33333333333333331,2,-1.0000000000000001e+300\n"
+        )
+
     def test_header_row_is_grid(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("0.0,0.5,1.0\n1.0,2.0,3.0\n")
@@ -143,16 +154,24 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="at least"):
             read_sample_csv(path)
 
-    def test_ragged_row_raises(self, tmp_path):
+    @pytest.mark.parametrize("text, line", [
+        ("0.0,0.5,1.0\n1.0,2.0,3.0\n1.0,2.0\n", 3),
+        ("0.0,0.5,1.0\n\n\n1.0,2.0\n", 4),
+    ], ids=["no-blank-lines", "after-blank-lines"])
+    def test_ragged_row_raises(self, tmp_path, text, line):
         path = tmp_path / "s.csv"
-        path.write_text("0.0,0.5,1.0\n1.0,2.0,3.0\n1.0,2.0\n")
-        with pytest.raises(DataError, match="line 3"):
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"line {line} has"):
             read_sample_csv(path)
 
-    def test_non_numeric_raises_with_line(self, tmp_path):
+    @pytest.mark.parametrize("text, line", [
+        ("0.0,0.5,1.0\n1.0,oops,3.0\n", 2),
+        ("0.0,0.5,1.0\n\n1.0,2.0,3.0\n1.0,oops,3.0\n", 4),
+    ], ids=["no-blank-lines", "after-blank-lines"])
+    def test_non_numeric_raises_with_line(self, tmp_path, text, line):
         path = tmp_path / "s.csv"
-        path.write_text("0.0,0.5,1.0\n1.0,oops,3.0\n")
-        with pytest.raises(DataError, match="line 2"):
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"line {line}: non-numeric"):
             read_sample_csv(path)
 
     def test_bad_grid_wrapped_as_data_error(self, tmp_path):

@@ -255,6 +255,22 @@ class TestBsplineLs:
         around_mean = Y.values - Y.values.mean(axis=0)
         assert np.sum(resid ** 2) < np.sum(around_mean ** 2)
 
+    def test_n_basis_above_predictor_grid_raises(self):
+        rng = np.random.default_rng(21)
+        g, g_coarse = make_uniform_grid(30, 0.0, 1.0), make_uniform_grid(8, 0.0, 1.0)
+        (x,) = smooth_predictors(rng, 20, g_coarse, m=1)
+        Y = FunctionalSample(rng.normal(size=(20, 30)), g)
+        with pytest.raises(ValueError, match="n_basis exceeds the number of predictor"):
+            fit_bspline_ls(Y, [x], n_basis=10)
+
+    def test_predict_on_other_grid_raises(self):
+        rng = np.random.default_rng(22)
+        Y, x = representable_pair(rng, n=30, p=25)
+        fit = fit_bspline_ls(Y, [x], n_basis=8)
+        (other,) = smooth_predictors(rng, 5, make_uniform_grid(25, 0.0, 2.0), m=1)
+        with pytest.raises(ValueError, match="predictor grid does not match"):
+            predict(fit, [other])
+
 
 class TestSerialization:
     def test_fflqr_round_trip(self, tmp_path):
