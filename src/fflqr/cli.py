@@ -9,9 +9,11 @@ output directory alone. Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +30,9 @@ from .model import (
     save_model,
     score_objective,
 )
-from .selection import (
-    SelectionResult,
-    forward_select,
-    select_truncation,
-    write_trace_csv,
-)
+from .selection import forward_select, select_truncation, write_trace_csv
 from .simulate import (
+    _METRICS,
     ALL_METHODS,
     ALL_MODELS,
     SimConfig,
@@ -42,8 +40,6 @@ from .simulate import (
     run_monte_carlo,
     write_results_csv,
 )
-
-_METRICS = ("mspe", "cpd", "score")
 
 
 def _now() -> str:
@@ -74,7 +70,7 @@ def _write_manifest(out, command, config, inputs, outputs, seed, started, **extr
 
 def _load_config(args) -> SimConfig:
     d = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
@@ -85,20 +81,10 @@ def _load_config(args) -> SimConfig:
         if not isinstance(loaded, dict):
             raise ConfigError("config JSON must be an object of field values")
         d.update(loaded)
-    overrides = {
-        "seed": "master_seed",
-        "n_train": "n_train",
-        "n_test": "n_test",
-        "replicates": "n_replicates",
-        "sigma": "sigma",
-        "error_dist": "error_dist",
-        "contamination": "contamination_rate",
-        "tau": "tau",
-    }
-    for flag, name in overrides.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            d[name] = value
+    # Config flags are stored under their SimConfig field names.
+    for f in fields(SimConfig):
+        if getattr(args, f.name, None) is not None:
+            d[f.name] = getattr(args, f.name)
     return SimConfig.from_dict(d)
 
 
@@ -164,17 +150,14 @@ def cmd_fit(args) -> int:
                 Y, X, args.tau, fixed_k=args.fixed_k,
                 k_y_max=args.ky_max, k_x_max=args.kx_max,
             )
-            write_trace_csv(sel, out / "selection_trace.csv")
+            write_trace_csv(sel.bic_trace, out / "selection_trace.csv")
             outputs.append("selection_trace.csv")
             indices = sel.chosen_predictors
             k_y, k_x = sel.chosen_k_y, sel.chosen_k_x
             X_fit = [X[i - 1] for i in indices]
         elif args.tune:
             k_y, k_x, trace = select_truncation(Y, X, args.tau, args.ky_max, args.kx_max)
-            write_trace_csv(
-                SelectionResult(k_y, k_x, tuple(range(1, len(X) + 1)), tuple(trace)),
-                out / "bic_trace.csv",
-            )
+            write_trace_csv(trace, out / "bic_trace.csv")
             outputs.append("bic_trace.csv")
             indices = tuple(range(1, len(X) + 1))
             X_fit = X
@@ -230,6 +213,12 @@ def cmd_predict(args) -> int:
 
 def cmd_interval(args) -> int:
     started = _now()
+    if not 0.0 < args.alpha < 1.0:
+        raise ConfigError(f"--alpha must lie strictly inside (0, 1), got {args.alpha}")
+    if args.method == "bootstrap" and args.R < 2:
+        raise ConfigError(f"--R must be at least 2, got {args.R}")
+    if len(args.train_x) != len(args.x):
+        raise DataError(f"{len(args.train_x)} --train-x CSVs for {len(args.x)} --x CSVs")
     out = _out_dir(args.out)
     fit = load_model(args.model)
     if not isinstance(fit, FflqrFit) or fit.method != "fflqr":
@@ -238,18 +227,19 @@ def cmd_interval(args) -> int:
     Y_train, X_train = _read_samples(args.train_y, args.train_x)
     k_y = fit.response_basis.n_components
     k_x = fit.predictor_bases[0].n_components
+    # Curves that do not match the model or each other (predictor count,
+    # grids) surface as ValueError from predict and the band builders.
     try:
         pred = predict(fit, X)
+        if args.method == "bootstrap":
+            band = bootstrap_band(
+                Y_train, X_train, X, fit.tau, args.alpha, k_y, k_x,
+                R=args.R, seed=args.seed,
+            )
+        else:
+            band = direct_band(Y_train, X_train, X, args.alpha, k_y, k_x)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-
-    if args.method == "bootstrap":
-        band = bootstrap_band(
-            Y_train, X_train, X, fit.tau, args.alpha, k_y, k_x,
-            R=args.R, seed=args.seed,
-        )
-    else:
-        band = direct_band(Y_train, X_train, X, args.alpha, k_y, k_x)
 
     write_sample_csv(pred, out / "Y_pred.csv")
     write_band_csv(band, out / "lower.csv", out / "upper.csv")
@@ -272,25 +262,6 @@ def cmd_interval(args) -> int:
     return 0
 
 
-def _summary_rows(reports):
-    rows = []
-    for model in ALL_MODELS:
-        for method in (*ALL_METHODS, "fflqr-direct"):
-            group = [r for r in reports if r.model == model and r.method == method]
-            if not group:
-                continue
-            for metric in _METRICS:
-                attr = {"mspe": "mspe", "cpd": "cpd", "score": "interval_score"}[metric]
-                values = [getattr(r, attr) for r in group if getattr(r, attr) is not None]
-                if not values:
-                    continue
-                arr = np.array(values, dtype=float)
-                median = float(np.median(arr))
-                iqr = float(np.quantile(arr, 0.75) - np.quantile(arr, 0.25))
-                rows.append((method, model, metric, median, iqr, len(values)))
-    return rows
-
-
 def cmd_benchmark(args) -> int:
     started = _now()
     config = _load_config(args)
@@ -303,24 +274,33 @@ def cmd_benchmark(args) -> int:
     done = {r.replicate for r in reports}
     failed = [r for r in range(config.n_replicates) if r not in done]
     write_results_csv(reports, out / "results.csv")
+    cells = [
+        (r, metric, getattr(r, attr))
+        for r in reports for metric, attr in _METRICS.items()
+        if getattr(r, attr) is not None
+    ]
 
     with open(out / "summary.csv", "w", encoding="utf-8") as fh:
         fh.write("method,model,metric,median,iqr,n\n")
-        for method, model, metric, median, iqr, n in _summary_rows(reports):
-            fh.write(f"{method},{model},{metric},{median:.17g},{iqr:.17g},{n}\n")
+        for model, method, metric in itertools.product(
+            ALL_MODELS, (*ALL_METHODS, "fflqr-direct"), _METRICS
+        ):
+            values = [v for r, m, v in cells
+                      if (r.model, r.method, m) == (model, method, metric)]
+            if values:
+                iqr = np.quantile(values, 0.75) - np.quantile(values, 0.25)
+                fh.write(
+                    f"{method},{model},{metric},{np.median(values):.17g},"
+                    f"{iqr:.17g},{len(values)}\n"
+                )
 
     with open(out / "long.csv", "w", encoding="utf-8") as fh:
         fh.write("seed,replicate,method,model,scenario,metric,value\n")
-        for r in reports:
-            for metric, value in (
-                ("mspe", r.mspe), ("cpd", r.cpd), ("score", r.interval_score)
-            ):
-                if value is None:
-                    continue
-                fh.write(
-                    f"{r.seed},{r.replicate},{r.method},{r.model},"
-                    f"{r.scenario},{metric},{value:.17g}\n"
-                )
+        for r, metric, value in cells:
+            fh.write(
+                f"{r.seed},{r.replicate},{r.method},{r.model},"
+                f"{r.scenario},{metric},{value:.17g}\n"
+            )
 
     _write_manifest(
         out, "benchmark",
@@ -347,13 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_config_flags(p):
         p.add_argument("--config", help="config JSON path")
-        p.add_argument("--seed", type=int, help="master seed override")
+        p.add_argument("--seed", dest="master_seed", type=int, help="master seed")
         p.add_argument("--n-train", dest="n_train", type=int)
         p.add_argument("--n-test", dest="n_test", type=int)
-        p.add_argument("--replicates", type=int)
+        p.add_argument("--replicates", dest="n_replicates", type=int)
         p.add_argument("--sigma", type=float)
         p.add_argument("--error-dist", dest="error_dist", choices=["normal", "chisq1"])
-        p.add_argument("--contamination", type=float)
+        p.add_argument("--contamination", dest="contamination_rate", type=float)
         p.add_argument("--tau", type=float)
 
     p = sub.add_parser("simulate", help="generate one synthetic train/test split")
@@ -405,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
                    + ",".join(ALL_MODELS))
     p.add_argument("--alpha", type=float,
                    help="when set, also evaluate prediction bands")
-    p.add_argument("--threads", type=int,
-                   help="worker threads (default: all cores)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads across replicates (default: 1)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_benchmark)
     return parser

@@ -231,11 +231,11 @@ def forward_select(
     return SelectionResult(k_y, k_x, tuple(chosen), tuple(trace) + k_trace)
 
 
-def write_trace_csv(result: SelectionResult, path) -> None:
-    """Write the selection trace with one row per evaluated candidate."""
+def write_trace_csv(trace, path) -> None:
+    """Write BicTraceEntry items as CSV, one row per evaluated candidate."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("stage,candidate,K_Y,K_X,BIC,accepted\n")
-        for e in result.bic_trace:
+        for e in trace:
             bic = "" if math.isnan(e.bic) else f"{e.bic:.17g}"
             fh.write(
                 f"{e.stage},\"{e.candidate}\",{e.k_y},{e.k_x},{bic},"

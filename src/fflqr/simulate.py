@@ -10,7 +10,6 @@ quantile estimator against its least squares baselines.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -455,7 +454,7 @@ def run_monte_carlo(
     methods=ALL_METHODS,
     models=ALL_MODELS,
     alpha: float = None,
-    n_threads: int = None,
+    n_threads: int = 1,
 ) -> list:
     """Replicated train/test comparison of the requested estimators.
 
@@ -473,7 +472,8 @@ def run_monte_carlo(
     alpha : float, optional
         When given, bootstrap bands (plus a paired-quantile band for the
         check-loss method) are evaluated and CPD/interval score reported.
-    n_threads : int, optional
+        It must lie in (0, 1) (``ConfigError`` otherwise).
+    n_threads : int
         Worker threads across replicates, at least 1 (``ConfigError``
         otherwise); output order and content do not depend on it.
 
@@ -490,12 +490,12 @@ def run_monte_carlo(
     bad = models - set(ALL_MODELS)
     if bad:
         raise ConfigError(f"unknown model(s): {', '.join(sorted(bad))}")
+    if alpha is not None and not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+    if n_threads < 1:
+        raise ConfigError(f"thread count must be at least 1, got {n_threads}")
 
     children = np.random.SeedSequence(config.master_seed).spawn(config.n_replicates)
-    if n_threads is None:
-        n_threads = min(config.n_replicates, os.cpu_count() or 1)
-    elif n_threads < 1:
-        raise ConfigError(f"thread count must be at least 1, got {n_threads}")
 
     def task(r):
         try:
@@ -522,16 +522,18 @@ def run_monte_carlo(
     return reports
 
 
-def _fmt_opt(x) -> str:
-    return "" if x is None else f"{x:.17g}"
+# The metric columns of the study's tables, each with the MetricsReport
+# attribute it reads. A metric that was not computed (None) is left empty.
+_METRICS = {"mspe": "mspe", "cpd": "cpd", "score": "interval_score"}
 
 
 def write_results_csv(reports, path) -> None:
     """One row per report: seed, replicate, method, model, scenario, metrics."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("seed,replicate,method,model,scenario,mspe,cpd,score\n")
+        fh.write("seed,replicate,method,model,scenario," + ",".join(_METRICS) + "\n")
         for r in reports:
+            values = (getattr(r, attr) for attr in _METRICS.values())
             fh.write(
                 f"{r.seed},{r.replicate},{r.method},{r.model},{r.scenario},"
-                f"{r.mspe:.17g},{_fmt_opt(r.cpd)},{_fmt_opt(r.interval_score)}\n"
+                + ",".join("" if v is None else f"{v:.17g}" for v in values) + "\n"
             )

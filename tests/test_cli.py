@@ -83,6 +83,26 @@ class TestSimulate:
         assert doc["master_seed"] == 4
         assert SimConfig.from_dict(doc["config"]) == SimConfig(**SMALL)
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--seed", "9", "master_seed"),
+        ("--n-train", "33", "n_train"),
+        ("--n-test", "7", "n_test"),
+        ("--replicates", "3", "n_replicates"),
+        ("--sigma", "0.25", "sigma"),
+        ("--error-dist", "chisq1", "error_dist"),
+        ("--contamination", "0.1", "contamination_rate"),
+        ("--tau", "0.3", "tau"),
+    ])
+    def test_config_flag_sets_its_field(self, tmp_path, flag, value, field):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), flag, value, "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert str(config[field]) == value
+        assert {k: v for k, v in config.items() if k != field} == {
+            k: v for k, v in SimConfig(**SMALL).to_dict().items() if k != field
+        }
+
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"bananas": 1}))
@@ -313,24 +333,43 @@ class TestBenchmark:
         assert len(long) == 1 + 4  # mspe only, no band requested
 
     def test_summary_medians_match_results(self, tmp_path):
-        out = self.run_benchmark(tmp_path, "bench")
-        by_method = {}
-        for line in (out / "results.csv").read_text().splitlines()[1:]:
-            parts = line.split(",")
-            by_method.setdefault(parts[2], []).append(float(parts[5]))
-        summary = (out / "summary.csv").read_text().splitlines()
-        assert summary[0] == "method,model,metric,median,iqr,n"
-        seen = set()
-        for line in summary[1:]:
-            method, model, metric, median, iqr, n = line.split(",")
-            assert model == "true" and metric == "mspe"
-            values = np.array(by_method[method])
-            assert float(median) == pytest.approx(np.median(values), rel=1e-12)
-            expected_iqr = np.quantile(values, 0.75) - np.quantile(values, 0.25)
-            assert float(iqr) == pytest.approx(expected_iqr, rel=1e-12)
-            assert int(n) == len(values)
-            seen.add(method)
-        assert seen == {"fflqr", "fpc-ls"}
+        # Without a band only mspe is reported; --alpha adds the cpd and
+        # score metrics and the paired-quantile (fflqr-direct) rows.
+        with_band = {
+            (method, metric)
+            for method in ("fflqr", "fpc-ls", "fflqr-direct")
+            for metric in ("mspe", "cpd", "score")
+        }
+        for name, extra, expected in (
+            ("bench", (), {("fflqr", "mspe"), ("fpc-ls", "mspe")}),
+            ("band", ("--alpha", "0.2"), with_band),
+        ):
+            out = self.run_benchmark(tmp_path, name, extra=extra)
+            results = (out / "results.csv").read_text().splitlines()
+            metrics = results[0].split(",")[5:]
+            by_key, long_expected = {}, []
+            for line in results[1:]:
+                parts = line.split(",")
+                for metric, value in zip(metrics, parts[5:]):
+                    if value:
+                        by_key.setdefault((parts[2], metric), []).append(float(value))
+                        long_expected.append(",".join([*parts[:5], metric, value]))
+            long = (out / "long.csv").read_text().splitlines()
+            assert long[0] == "seed,replicate,method,model,scenario,metric,value"
+            assert long[1:] == long_expected
+            summary = (out / "summary.csv").read_text().splitlines()
+            assert summary[0] == "method,model,metric,median,iqr,n"
+            seen = set()
+            for line in summary[1:]:
+                method, model, metric, median, iqr, n = line.split(",")
+                assert model == "true"
+                values = np.array(by_key[method, metric])
+                assert float(median) == pytest.approx(np.median(values), rel=1e-12)
+                expected_iqr = np.quantile(values, 0.75) - np.quantile(values, 0.25)
+                assert float(iqr) == pytest.approx(expected_iqr, rel=1e-12)
+                assert int(n) == len(values)
+                seen.add((method, metric))
+            assert seen == set(by_key) == expected
 
     def test_thread_count_keeps_bytes_identical(self, tmp_path):
         a = self.run_benchmark(tmp_path, "t1", extra=("--threads", "1"))
@@ -365,3 +404,36 @@ class TestBenchmark:
         assert manifest["failed_replicates"] == [1]
         summary = (out / "summary.csv").read_text().splitlines()[1:]
         assert summary and all(line.split(",")[-1] == "4" for line in summary)
+
+
+class TestBadValueExitCodes:
+    @pytest.mark.parametrize("command, flags, code", [
+        ("interval", ["--R", "1"], 2),
+        ("interval", ["--alpha", "1.5"], 2),
+        ("interval", ["--alpha", "0"], 2),
+        ("interval", ["--alpha", "1.5", "--method", "direct"], 2),
+        ("interval", ["--alpha", "0", "--method", "direct"], 2),
+        ("interval", ["--train-x", "X2_train.csv"], 3),
+        ("interval", ["--train-x", "X2_train.csv", "--method", "direct"], 3),
+        ("benchmark", ["--alpha", "1.5"], 2),
+    ], ids=[
+        "interval-R-1", "bootstrap-alpha-1.5", "bootstrap-alpha-0",
+        "direct-alpha-1.5", "direct-alpha-0", "bootstrap-train-x-count",
+        "direct-train-x-count", "benchmark-alpha-1.5",
+    ])
+    def test_exit_code(self, tmp_path, command, flags, code):
+        if command == "interval":
+            sim = simulate(tmp_path)
+            fitted = fit_dir(tmp_path, sim)
+            args = [
+                "--model", str(fitted / "model.json"),
+                "--x", str(sim / "X2_test.csv"), str(sim / "X4_test.csv"),
+                "--train-y", str(sim / "Y_train.csv"),
+                "--train-x", str(sim / "X2_train.csv"), str(sim / "X4_train.csv"),
+                "--R", "8",
+            ]
+            flags = [str(sim / f) if f.endswith(".csv") else f for f in flags]
+        else:
+            cfg = write_config(tmp_path)
+            args = ["--config", str(cfg), "--methods", "fflqr", "--models", "true"]
+        assert main([command, *args, *flags, "--out", str(tmp_path / "o")]) == code

@@ -334,7 +334,7 @@ class TestTraceCsv:
         Y, xs = noisy_pair(rng, m=2)
         res = forward_select(Y, xs, 0.5)
         path = tmp_path / "trace.csv"
-        write_trace_csv(res, path)
+        write_trace_csv(res.bic_trace, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["stage", "candidate", "K_Y", "K_X", "BIC", "accepted"]

@@ -358,6 +358,20 @@ class TestRunMonteCarlo:
         with pytest.raises(ConfigError, match="unknown model"):
             run_monte_carlo(tiny_config(), models=("nope",))
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1])
+    def test_bad_alpha_raises_before_any_replicate(self, monkeypatch, alpha):
+        def no_replicate(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(sim_mod, "_replicate_reports", no_replicate)
+        with pytest.raises(ConfigError, match="alpha"):
+            run_monte_carlo(tiny_config(), alpha=alpha)
+
+    def test_runs_serially_by_default(self, monkeypatch):
+        monkeypatch.setattr(sim_mod, "ThreadPoolExecutor", None)
+        reports = run_monte_carlo(tiny_config(), methods=("fpc-ls",), models=("true",))
+        assert [r.replicate for r in reports] == [0, 1]
+
     def test_too_many_failed_replicates_raise(self, monkeypatch):
         def always_fail(config, replicate, child, methods, models, alpha):
             raise NumericalError("boom")
