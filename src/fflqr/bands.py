@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .fdata import FunctionalSample, Grid, write_sample_csv
-from .model import fit_bspline_ls, fit_fflqr, fit_fpc_ls, predict
+from .model import _fit_scores, _unwrap, fit_bspline_ls, predict
 
 __all__ = [
     "PredictionBand",
@@ -89,14 +89,26 @@ def mspe(Y_true: FunctionalSample, Y_pred: FunctionalSample) -> float:
     return float(np.mean(sq @ Y_true.grid.weights))
 
 
-def _fit_for(method, Y, X, tau, k_y, k_x, predictor_indices=None):
-    """Fit one of the three estimators by name; the only method dispatch."""
-    if method == "fflqr":
-        return fit_fflqr(Y, X, tau, k_y, k_x, predictor_indices)
-    if method == "fpc-ls":
-        return fit_fpc_ls(Y, X, k_y, k_x, predictor_indices)
+def _fit_for(method, samples, tau, k_y, k_x, predictor_indices=None) -> list:
+    """Fit one of the three estimators by name to each ``(Y, X)`` pair that
+    ``samples`` yields; the only method dispatch.
+
+    Returns one entry per sample: its fit, or the ``NumericalError`` that
+    stopped it. The score-space methods decompose each sample once and solve
+    the check-loss problems of all samples in one stacked call.
+    """
+    if method in ("fflqr", "fpc-ls"):
+        level = tau if method == "fflqr" else 0.5
+        fits = _fit_scores(samples, [level], k_y, k_x, predictor_indices, method)
+        return [fit for (fit,) in fits]
     if method == "bspline-ls":
-        return fit_bspline_ls(Y, X, predictor_indices=predictor_indices)
+        fits = []
+        for Y, X in samples:
+            try:
+                fits.append(fit_bspline_ls(Y, X, predictor_indices=predictor_indices))
+            except NumericalError as exc:
+                fits.append(exc)
+        return fits
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -117,7 +129,8 @@ def bootstrap_band(
     Each of the ``R`` replicates resamples training rows with replacement,
     refits at the fixed configuration and predicts the test set; bounds are
     the pointwise ``alpha/2`` and ``1 - alpha/2`` quantiles over replicates
-    (linear interpolation of order statistics). Refits that fail numerically
+    (linear interpolation of order statistics). The check-loss problems of
+    all refits are solved in one stacked call. Refits that fail numerically
     are left out and counted on the band; fewer than ``R/2`` successes
     raise ``NumericalError``.
 
@@ -134,19 +147,20 @@ def bootstrap_band(
     n = Y_train.n
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    children = seed.spawn(R)
-    preds = []
-    failures = 0
-    for r in range(R):
-        rng = np.random.default_rng(children[r])
-        rows = rng.integers(0, n, size=n)
-        Y_r = FunctionalSample(Y_train.values[rows], Y_train.grid)
-        X_r = [FunctionalSample(x.values[rows], x.grid) for x in X_train]
-        try:
-            fit = _fit_for(method, Y_r, X_r, tau, k_y, k_x)
-            preds.append(predict(fit, X_test).values)
-        except NumericalError:
-            failures += 1
+
+    def resamples():
+        # One resample at a time: only its decomposition outlives it.
+        for child in seed.spawn(R):
+            rows = np.random.default_rng(child).integers(0, n, size=n)
+            yield (
+                FunctionalSample(Y_train.values[rows], Y_train.grid),
+                [FunctionalSample(x.values[rows], x.grid) for x in X_train],
+            )
+
+    fits = _fit_for(method, resamples(), tau, k_y, k_x)
+    preds = [
+        predict(fit, X_test).values for fit in fits if not isinstance(fit, NumericalError)
+    ]
     if len(preds) < R / 2:
         raise NumericalError(
             f"only {len(preds)} of {R} bootstrap refits succeeded"
@@ -154,7 +168,7 @@ def bootstrap_band(
     stack = np.stack(preds)
     lower = np.quantile(stack, alpha / 2.0, axis=0, method="linear")
     upper = np.quantile(stack, 1.0 - alpha / 2.0, axis=0, method="linear")
-    return PredictionBand(lower, upper, alpha, Y_train.grid, failed_refits=failures)
+    return PredictionBand(lower, upper, alpha, Y_train.grid, failed_refits=R - len(preds))
 
 
 def direct_band(
@@ -167,15 +181,16 @@ def direct_band(
 ) -> PredictionBand:
     """Band from two quantile fits at levels ``alpha/2`` and ``1 - alpha/2``.
 
-    Pointwise crossings (lower fit above upper fit) are swapped and their
-    frequency reported on the band.
+    Both levels share one decomposition of the training curves and one
+    stacked solve. Pointwise crossings (lower fit above upper fit) are
+    swapped and their frequency reported on the band.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
-    lo_fit = fit_fflqr(Y_train, X_train, alpha / 2.0, k_y, k_x)
-    hi_fit = fit_fflqr(Y_train, X_train, 1.0 - alpha / 2.0, k_y, k_x)
-    lower = predict(lo_fit, X_test).values
-    upper = predict(hi_fit, X_test).values
+    (fits,) = _fit_scores(
+        [(Y_train, X_train)], [alpha / 2.0, 1.0 - alpha / 2.0], k_y, k_x, None, "fflqr"
+    )
+    lower, upper = (predict(_unwrap(fit), X_test).values for fit in fits)
     crossed = lower > upper
     rate = float(np.mean(crossed))
     lower, upper = np.minimum(lower, upper), np.maximum(lower, upper)

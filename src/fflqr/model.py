@@ -10,16 +10,17 @@ representation, one on a B-spline expansion of the curves.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .bspline import bspline_design
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, RankDeficiencyWarning
 from .fdata import FunctionalSample, Grid
 from .fpca import FpcBasis, fpc_decompose, project_scores, reconstruct
-from .qreg import _column_rank, qr_fit_multi, qr_objective
+from .qreg import _column_failure, _fit_stack, qr_objective
 
 __all__ = [
     "FflqrFit",
@@ -149,17 +150,41 @@ def _design(blocks) -> np.ndarray:
     return np.hstack([np.ones((blocks[0].shape[0], 1))] + blocks)
 
 
-def _fit_scores(Y, X, tau, k_y, k_x, predictor_indices, method) -> FflqrFit:
-    """Score-space fit of ``fit_fflqr`` (check loss) or ``fit_fpc_ls``."""
-    indices = _resolve_indices(X, predictor_indices)
-    (response_basis, xi), preds = _decompose(Y, X, k_y, [k_x] * len(X))
-    design = _design(zeta for _, zeta in preds)
+def _fit_scores(samples, taus, k_y, k_x, predictor_indices, method) -> list:
+    """Score-space fits of ``fit_fflqr`` (check loss) or ``fit_fpc_ls``.
+
+    ``fits[i][j]`` fits the i-th ``(Y, X)`` pair that ``samples`` yields at
+    ``taus[j]``. Each sample is decomposed once, and the check-loss problems
+    of every sample, level and response score are solved in one stacked
+    call. A fit whose problem was not solved is the ``NumericalError``
+    naming its response column.
+    """
+    parts = []
+    for Y, X in samples:
+        indices = _resolve_indices(X, predictor_indices)
+        parts.append(_decompose(Y, X, k_y, [k_x] * len(X)))
+    designs = np.stack([_design(zeta for _, zeta in preds) for _, preds in parts])
+    xis = np.stack([xi for (_, xi), _ in parts])
     if method == "fflqr":
-        coefs = qr_fit_multi(design, xi, tau)
+        coefs, solved = _fit_stack(designs, xis, taus)
     else:
-        coefs = _ls_solve(design, xi)
-    bases = tuple(basis for basis, _ in preds)
-    return FflqrFit(tau, response_basis, bases, coefs, indices, method)
+        coefs = np.stack([[_ls_solve(d, xi)] * len(taus) for d, xi in zip(designs, xis)])
+        solved = np.ones(coefs.shape[:2] + coefs.shape[3:], dtype=bool)
+    fits = []
+    for ((response_basis, _), preds), sample_coefs, sample_solved in zip(parts, coefs, solved):
+        bases = tuple(basis for basis, _ in preds)
+        fits.append([
+            _column_failure(ok) or FflqrFit(tau, response_basis, bases, c, indices, method)
+            for tau, c, ok in zip(taus, sample_coefs, sample_solved)
+        ])
+    return fits
+
+
+def _unwrap(fit):
+    """The fit, or raise the ``NumericalError`` that stands in its place."""
+    if isinstance(fit, NumericalError):
+        raise fit
+    return fit
 
 
 def fit_fflqr(
@@ -190,7 +215,7 @@ def fit_fflqr(
     -------
     FflqrFit
     """
-    return _fit_scores(Y, X, tau, k_y, k_x, predictor_indices, "fflqr")
+    return _unwrap(_fit_scores([(Y, X)], [tau], k_y, k_x, predictor_indices, "fflqr")[0][0])
 
 
 def fit_fpc_ls(
@@ -201,15 +226,19 @@ def fit_fpc_ls(
     predictor_indices=None,
 ) -> FflqrFit:
     """Least squares counterpart of ``fit_fflqr`` on the same score design."""
-    return _fit_scores(Y, X, 0.5, k_y, k_x, predictor_indices, "fpc-ls")
+    return _unwrap(_fit_scores([(Y, X)], [0.5], k_y, k_x, predictor_indices, "fpc-ls")[0][0])
 
 
 def _ls_solve(design: np.ndarray, responses: np.ndarray) -> np.ndarray:
-    """Column-rank-aware least squares; dropped columns get zero coefficients."""
-    keep = _column_rank(design)
-    coefs = np.zeros((design.shape[1], responses.shape[1]))
-    if keep.size > 0:
-        coefs[keep] = np.linalg.lstsq(design[:, keep], responses, rcond=None)[0]
+    """Least squares coefficients; for a rank-deficient design, the unique
+    minimum-norm solution, with a ``RankDeficiencyWarning``."""
+    coefs, _, rank, _ = np.linalg.lstsq(design, responses, rcond=None)
+    if rank < design.shape[1]:
+        warnings.warn(
+            f"design has rank {rank} < {design.shape[1]}; minimum-norm solution used",
+            RankDeficiencyWarning,
+            stacklevel=3,
+        )
     return coefs
 
 

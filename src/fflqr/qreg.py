@@ -8,6 +8,15 @@ predictor-corrector iteration (Frisch-Newton). The dual LP is
 
 and the regression coefficients are recovered from the multipliers of the
 equality constraints.
+
+One core solves a stack of problems, each with its own design, response
+and level. Normal matrices are formed and factored for the whole stack;
+step lengths, convergence and failure are tracked per problem by masks,
+and problems leave the stack as they finish. A normal matrix the batched
+factorization rejects is retried alone with jitter. Every operation acts
+on one problem at a time, so a problem's coefficients do not depend on the
+stack it is solved in. ``qr_fit_multi`` is the public single-design entry;
+fits and bands go through the stacked ``_fit_stack``.
 """
 
 from __future__ import annotations
@@ -54,13 +63,21 @@ def _validate(design, responses, tau: float, ndim: int) -> tuple:
     if responses.ndim != ndim or responses.shape[0] != n:
         shape = "(n,)" if ndim == 1 else "(n, K)"
         raise ValueError(f"responses must be {shape} with n matching the design rows")
+    _check_values(design, responses, tau)
+    return design, responses
+
+
+def _check_values(designs, responses, taus) -> None:
+    """Raise ``ValueError`` unless the designs, shaped (..., n, q), have
+    n >= q, every level lies in (0, 1) and all values are finite."""
+    n, q = designs.shape[-2:]
     if n < q:
         raise ValueError(f"need at least as many rows as columns ({n} < {q})")
-    if not 0.0 < tau < 1.0:
+    taus = np.asarray(taus)
+    if not np.all((0.0 < taus) & (taus < 1.0)):
         raise ValueError("tau must lie strictly inside (0, 1)")
-    if not (np.all(np.isfinite(design)) and np.all(np.isfinite(responses))):
+    if not (np.all(np.isfinite(designs)) and np.all(np.isfinite(responses))):
         raise ValueError("design and response must be finite")
-    return design, responses
 
 
 @dataclass(frozen=True)
@@ -87,90 +104,134 @@ class QrProblem:
         object.__setattr__(self, "response", response)
 
 
-def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest alpha keeping ``v + alpha * dv`` nonnegative."""
-    neg = dv < 0
-    if not np.any(neg):
-        return np.inf
-    return float(np.min(-v[neg] / dv[neg]))
+def _mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Product of each matrix in a stack with the matching vector."""
+    return (A @ v[..., None])[..., 0]
 
 
-def _solve_normal(X: np.ndarray, d: np.ndarray, rhs: np.ndarray) -> tuple:
-    """Factor ``X' diag(d) X`` and solve against ``rhs``, with jitter retries."""
-    M = (X * d[:, None]).T @ X
-    jitter = 0.0
-    scale = np.trace(M) / M.shape[0]
-    for _ in range(4):
-        try:
-            factor = scipy.linalg.cho_factor(
-                M + jitter * np.eye(M.shape[0]), lower=True
-            )
-            return factor, scipy.linalg.cho_solve(factor, rhs)
-        except scipy.linalg.LinAlgError:
-            jitter = max(jitter * 100.0, 1e-12 * max(scale, 1.0))
-    raise NumericalError("normal equations factorization failed")
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product of each pair of matching rows."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _frisch_newton(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
-    """Interior-point solve of one quantile regression on a full-rank design."""
-    n, q = X.shape
-    c = -y
-    a = np.full(n, 1.0 - tau)
+def _step(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """Per row, the largest alpha keeping ``v + alpha * dv`` nonnegative."""
+    ratio = np.divide(-v, dv, out=np.full_like(v, np.inf), where=dv < 0)
+    return ratio.min(axis=1)
+
+
+def _cholesky(M: np.ndarray) -> tuple:
+    """Lower Cholesky factors of a stack of normal matrices, and the mask of
+    the matrices factored. When the batched factorization fails, each matrix
+    is retried alone, and only the failing ones get growing diagonal jitter."""
+    try:
+        return np.linalg.cholesky(M), np.ones(len(M), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    L = np.empty_like(M)
+    factored = np.zeros(len(M), dtype=bool)
+    for b, Mb in enumerate(M):
+        jitter = 0.0
+        scale = np.trace(Mb) / len(Mb)
+        for _ in range(4):
+            try:
+                L[b] = np.linalg.cholesky(Mb + jitter * np.eye(len(Mb)))
+            except np.linalg.LinAlgError:
+                jitter = max(jitter * 100.0, 1e-12 * max(scale, 1.0))
+            else:
+                factored[b] = True
+                break
+    return L, factored
+
+
+def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``L L' x = rhs`` for each factor in the stack."""
+    return np.linalg.solve(L.swapaxes(1, 2), np.linalg.solve(L, rhs[..., None]))[..., 0]
+
+
+def _frisch_newton(X: np.ndarray, y: np.ndarray, tau: np.ndarray) -> tuple:
+    """Interior-point solve of a stack of quantile regressions.
+
+    ``X`` is (B, n, q) with full-rank designs, ``y`` is (B, n) and ``tau``
+    is (B,). Returns the (B, q) coefficients and the mask of the problems
+    solved. Every operation acts on each problem alone, so a problem gets
+    the same coefficients in any stack; solved and failed problems leave
+    the stack as they finish.
+    """
+    # Contiguous rows keep every reduction in one summation order.
+    X = np.ascontiguousarray(X, dtype=float)
+    y = np.ascontiguousarray(y, dtype=float)
+    B, n, q = X.shape
+    coefs = np.zeros((B, q))
+    solved = np.zeros(B, dtype=bool)
+    idx = np.arange(B)
+    tau = np.asarray(tau, dtype=float)[:, None]
+    a = np.repeat(1.0 - tau, n, axis=1)
     s = 1.0 - a
 
-    nu = np.linalg.lstsq(X, -y, rcond=None)[0]
-    zeta = c - X @ nu
-    h = max(1e-4, 1e-4 * float(np.mean(np.abs(zeta))))
+    Q, R = np.linalg.qr(X)
+    nu = np.linalg.solve(R, _mv(Q.swapaxes(1, 2), -y)[..., None])[..., 0]
+    zeta = -y - _mv(X, nu)
+    h = np.maximum(1e-4, 1e-4 * np.mean(np.abs(zeta), axis=1))[:, None]
     z = np.maximum(zeta, 0.0) + h
     w = np.maximum(-zeta, 0.0) + h
 
     for _ in range(_MAX_ITER):
-        gap = float(a @ z + s @ w)
-        objective = float(np.sum(check_loss(y - X @ (-nu), tau)))
-        if gap < _GAP_ABS or gap < _GAP_REL * (1.0 + abs(objective)):
-            return -nu
+        # zeta = c - X nu with c = -y, so -zeta are the residuals y - X b.
+        zeta = -y - _mv(X, nu)
+        gap = _dot(a, z) + _dot(s, w)
+        objective = np.sum(-zeta * (tau - (-zeta < 0)), axis=1)
+        done = (gap < _GAP_ABS) | (gap < _GAP_REL * (1.0 + np.abs(objective)))
+        if done.any():
+            coefs[idx[done]] = -nu[done]
+            solved[idx[done]] = True
+            keep = ~done
+            X, y, tau, a, s, z, w, nu, zeta, gap, idx = (
+                v[keep] for v in (X, y, tau, a, s, z, w, nu, zeta, gap, idx)
+            )
+            if idx.size == 0:
+                break
 
-        mu = gap / (2.0 * n)
         d = 1.0 / (z / a + w / s)
-        zeta = c - X @ nu
+        L, keep = _cholesky(X.swapaxes(1, 2) @ (X * d[..., None]))
+        if not keep.all():
+            X, y, tau, a, s, z, w, nu, zeta, gap, idx, d, L = (
+                v[keep] for v in (X, y, tau, a, s, z, w, nu, zeta, gap, idx, d, L)
+            )
+        mu = (gap / (2.0 * n))[:, None]
 
         # Affine (predictor) direction: pure Newton toward complementarity 0.
-        factor, dnu = _solve_normal(X, d, X.T @ (d * zeta))
-        da = d * (X @ dnu - zeta)
+        dnu = _cho_solve(L, _mv(X.swapaxes(1, 2), d * zeta))
+        da = d * (_mv(X, dnu) - zeta)
         dz = -z * (1.0 + da / a)
         dw = -w * (1.0 - da / s)
 
-        alpha_p = min(1.0, _max_step(a, da), _max_step(s, -da))
-        alpha_d = min(1.0, _max_step(z, dz), _max_step(w, dw))
+        alpha_p = np.minimum(1.0, np.minimum(_step(a, da), _step(s, -da)))[:, None]
+        alpha_d = np.minimum(1.0, np.minimum(_step(z, dz), _step(w, dw)))[:, None]
         mu_aff = (
-            (a + alpha_p * da) @ (z + alpha_d * dz)
-            + (s - alpha_p * da) @ (w + alpha_d * dw)
-        ) / (2.0 * n)
-        sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-8, 1.0 - 1e-8))
+            _dot(a + alpha_p * da, z + alpha_d * dz)
+            + _dot(s - alpha_p * da, w + alpha_d * dw)
+        )[:, None] / (2.0 * n)
+        sigma = np.clip((np.maximum(mu_aff, 0.0) / mu) ** 3, 1e-8, 1.0 - 1e-8)
 
         # Combined corrector step with the same factorization.
         t1 = sigma * mu - da * dz - a * z
         t2 = sigma * mu + da * dw - s * w
         r = d * (t1 / a - t2 / s)
-        dnu = scipy.linalg.cho_solve(factor, -X.T @ r)
-        da = d * (X @ dnu) + r
+        dnu = _cho_solve(L, -_mv(X.swapaxes(1, 2), r))
+        da = d * _mv(X, dnu) + r
         dz = (t1 - z * da) / a
         dw = (t2 + w * da) / s
 
-        alpha_p = min(1.0, _STEP_FRAC * min(_max_step(a, da), _max_step(s, -da)))
-        alpha_d = min(
-            1.0, _STEP_FRAC * min(_max_step(z, dz), _max_step(w, dw))
-        )
-        a = a + alpha_p * da
-        s = s - alpha_p * da
-        nu = nu + alpha_d * dnu
-        z = z + alpha_d * dz
-        w = w + alpha_d * dw
+        alpha_p = np.minimum(1.0, _STEP_FRAC * np.minimum(_step(a, da), _step(s, -da)))
+        alpha_d = np.minimum(1.0, _STEP_FRAC * np.minimum(_step(z, dz), _step(w, dw)))
+        a = a + alpha_p[:, None] * da
+        s = s - alpha_p[:, None] * da
+        nu = nu + alpha_d[:, None] * dnu
+        z = z + alpha_d[:, None] * dz
+        w = w + alpha_d[:, None] * dw
 
-    raise NumericalError(
-        f"interior point did not converge in {_MAX_ITER} iterations "
-        f"(duality gap {gap:.3e}, objective {objective:.6g})"
-    )
+    return coefs, solved
 
 
 def _column_rank(X: np.ndarray) -> np.ndarray:
@@ -204,6 +265,52 @@ def qr_fit(problem: QrProblem) -> np.ndarray:
     return qr_fit_multi(problem.design, problem.response[:, None], problem.tau)[:, 0]
 
 
+def _fit_stack(designs: np.ndarray, responses: np.ndarray, taus) -> tuple:
+    """Fit every response column of every design at every level in one stack.
+
+    ``designs`` is (G, n, q), ``responses`` is (G, n, K) and ``taus`` has T
+    levels. Returns the (G, T, q, K) coefficients and the (G, T, K) mask of
+    the problems solved; ``ValueError`` for n < q, a level outside (0, 1)
+    or a value that is not finite. Each design's dependent columns are
+    found once and get zero coefficients; designs that keep the same
+    columns share one call of the interior-point core.
+    """
+    _check_values(designs, responses, taus)
+    G, n, q = designs.shape
+    K = responses.shape[2]
+    taus = np.asarray(taus, dtype=float)
+    T = taus.size
+    coefs = np.zeros((G, T, q, K))
+    solved = np.ones((G, T, K), dtype=bool)
+    groups = {}
+    for g, design in enumerate(designs):
+        groups.setdefault(tuple(_column_rank(design)), []).append(g)
+    for keep, members in groups.items():
+        if not keep:
+            continue
+        m = len(members)
+        # Problems in (design, level, response column) order.
+        X = np.repeat(designs[members][:, :, keep], T * K, axis=0)
+        y = np.tile(responses[members].swapaxes(1, 2), (1, T, 1)).reshape(-1, n)
+        b, ok = _frisch_newton(X, y, np.repeat(np.tile(taus, m), K))
+        b = b.reshape(m, T, K, -1).swapaxes(2, 3)
+        coefs[np.ix_(members, range(T), keep, range(K))] = b
+        solved[members] = ok.reshape(m, T, K)
+    return coefs, solved
+
+
+def _column_failure(solved: np.ndarray):
+    """The ``NumericalError`` naming the first response column whose problem
+    was not solved, or None when every column was."""
+    failed = np.flatnonzero(~solved)
+    if failed.size == 0:
+        return None
+    return NumericalError(
+        f"response column {failed[0]}: interior point did not converge in "
+        f"{_MAX_ITER} iterations or could not factor its normal equations"
+    )
+
+
 def qr_fit_multi(design: np.ndarray, responses: np.ndarray, tau: float) -> np.ndarray:
     """Fit one quantile regression per response column on a shared design.
 
@@ -220,19 +327,15 @@ def qr_fit_multi(design: np.ndarray, responses: np.ndarray, tau: float) -> np.nd
     ndarray, shape (q, K)
         Column k minimizes ``sum_i rho_tau(y_ik - x_i' b)``. With a
         rank-deficient design, dependent columns get zero coefficients and a
-        ``RankDeficiencyWarning`` is emitted.
+        ``RankDeficiencyWarning`` is emitted. A column whose problem is not
+        solved raises ``NumericalError`` naming it.
     """
     design, responses = _validate(design, responses, tau, ndim=2)
-    keep = _column_rank(design)
-    coefs = np.zeros((design.shape[1], responses.shape[1]))
-    if keep.size > 0:
-        X = design[:, keep]
-        for k in range(responses.shape[1]):
-            try:
-                coefs[keep, k] = _frisch_newton(X, responses[:, k], tau)
-            except NumericalError as exc:
-                raise NumericalError(f"response column {k}: {exc}") from exc
-    return coefs
+    coefs, solved = _fit_stack(design[None], responses[None], [tau])
+    failure = _column_failure(solved[0, 0])
+    if failure is not None:
+        raise failure
+    return coefs[0, 0]
 
 
 def qr_objective(

@@ -20,7 +20,7 @@ from .bands import (
 )
 from .errors import ConfigError, NumericalError
 from .fdata import FunctionalSample, Grid, make_uniform_grid
-from .model import CoefficientSurface, predict
+from .model import CoefficientSurface, _unwrap, predict
 from .selection import forward_select, select_truncation
 
 __all__ = [
@@ -407,7 +407,7 @@ def _replicate_reports(
         for method in ALL_METHODS:
             if method not in methods:
                 continue
-            fit = _fit_for(method, data.Y_train, X_tr, config.tau, k_y, k_x, D)
+            fit = _unwrap(_fit_for(method, [(data.Y_train, X_tr)], config.tau, k_y, k_x, D)[0])
             err = mspe(data.Y_test_signal, predict(fit, X_te))
             band_cpd = band_score = None
             slot = ALL_MODELS.index(model) * (len(ALL_METHODS) + 1) + ALL_METHODS.index(method)

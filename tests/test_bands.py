@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-import fflqr.bands as bands_mod
+import fflqr.model as model_mod
 from fflqr.bands import (
     PredictionBand,
     bootstrap_band,
@@ -228,30 +228,31 @@ class TestBootstrapBand:
         with pytest.raises(ValueError, match="alpha"):
             bootstrap_band(Y, [x], [x], 0.5, 1.0, 2, 2, R=4)
 
+    @staticmethod
+    def unsolved_at(select):
+        """A stand-in for the stacked solver that marks ``solved[select]``
+        unsolved after solving every problem."""
+        real = model_mod._fit_stack
+
+        def fit_stack(designs, responses, taus):
+            coefs, solved = real(designs, responses, taus)
+            solved[select] = False
+            return coefs, solved
+
+        return fit_stack
+
     def test_mostly_failed_refits_raise(self, monkeypatch):
         rng = np.random.default_rng(10)
         Y, x = driven_pair(rng, n=10)
-
-        def always_fail(method, Y, X, tau, k_y, k_x):
-            raise NumericalError("refit failed")
-
-        monkeypatch.setattr(bands_mod, "_fit_for", always_fail)
+        monkeypatch.setattr(model_mod, "_fit_stack", self.unsolved_at(np.s_[:]))
         with pytest.raises(NumericalError, match="bootstrap refits succeeded"):
             bootstrap_band(Y, [x], [x], 0.5, 0.2, 2, 2, R=4)
 
     def test_some_failed_refits_are_counted(self, monkeypatch):
+        # one unsolved response column drops its whole refit: refits 2 and 5
         rng = np.random.default_rng(10)
         Y, x = driven_pair(rng)
-        real_fit_for = bands_mod._fit_for
-        calls = []
-
-        def fail_every_third(method, Y, X, tau, k_y, k_x):
-            calls.append(method)
-            if len(calls) % 3 == 0:
-                raise NumericalError("refit failed")
-            return real_fit_for(method, Y, X, tau, k_y, k_x)
-
-        monkeypatch.setattr(bands_mod, "_fit_for", fail_every_third)
+        monkeypatch.setattr(model_mod, "_fit_stack", self.unsolved_at(np.s_[2::3, :, 1]))
         band = bootstrap_band(Y, [x], [x], 0.5, 0.2, 2, 2, R=7)
         assert band.failed_refits == 2
 
@@ -268,6 +269,17 @@ class TestDirectBand:
         np.testing.assert_allclose(band.lower, np.minimum(lo, hi), atol=1e-12)
         np.testing.assert_allclose(band.upper, np.maximum(lo, hi), atol=1e-12)
         assert band.crossing_rate == pytest.approx(np.mean(lo > hi))
+
+    def test_bounds_equal_separate_quantile_fits_bitwise(self):
+        rng = np.random.default_rng(11)
+        Y, x = driven_pair(rng, n=60)
+        Y2, x2 = driven_pair(rng, n=8)
+        alpha = 0.2
+        band = direct_band(Y, [x], [x2], alpha, 2, 2)
+        lo = predict(fit_fflqr(Y, [x], alpha / 2.0, 2, 2), [x2]).values
+        hi = predict(fit_fflqr(Y, [x], 1.0 - alpha / 2.0, 2, 2), [x2]).values
+        np.testing.assert_array_equal(band.lower, np.minimum(lo, hi))
+        np.testing.assert_array_equal(band.upper, np.maximum(lo, hi))
 
     def test_alpha_out_of_range_raises(self):
         rng = np.random.default_rng(12)

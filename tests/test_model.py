@@ -7,6 +7,7 @@ from fflqr.errors import RankDeficiencyWarning
 from fflqr.fdata import FunctionalSample, inner_product, make_uniform_grid
 from fflqr.fpca import fpc_decompose, project_scores
 from fflqr.model import (
+    _projected_design,
     coefficient_surface,
     fit_bspline_ls,
     fit_fflqr,
@@ -230,6 +231,27 @@ class TestFpcLs:
         Y = FunctionalSample(y, g)
         with pytest.warns(RankDeficiencyWarning):
             fit_fpc_ls(Y, [x, x], 2, 2, predictor_indices=(1, 2))
+
+    def test_duplicated_predictor_gets_minimum_norm_fit(self):
+        # predictor 1 and 3 are the same curves; which copy comes first in
+        # the design must not change either surface
+        rng = np.random.default_rng(15)
+        g = make_uniform_grid(20, 0.0, 1.0)
+        x, z = smooth_predictors(rng, 30, g, m=2)
+        Y = FunctionalSample(np.cumsum(rng.normal(size=(30, 20)), axis=1) * 0.2, g)
+        with pytest.warns(RankDeficiencyWarning):
+            a = fit_fpc_ls(Y, [x, z, x], 2, 2, predictor_indices=(1, 2, 3))
+        with pytest.warns(RankDeficiencyWarning):
+            b = fit_fpc_ls(Y, [x, x, z], 2, 2, predictor_indices=(3, 1, 2))
+        for label in (1, 2, 3):
+            np.testing.assert_allclose(
+                coefficient_surface(a, label).values,
+                coefficient_surface(b, label).values,
+                rtol=1e-9, atol=1e-12,
+            )
+        design = _projected_design(a, [x, z, x])
+        xi = project_scores(a.response_basis, Y)
+        np.testing.assert_allclose(a.coefs, np.linalg.pinv(design) @ xi, rtol=1e-9, atol=1e-12)
 
 
 class TestBsplineLs:

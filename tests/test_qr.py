@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fflqr.errors import RankDeficiencyWarning
+from fflqr import qreg
+from fflqr.errors import NumericalError, RankDeficiencyWarning
 from fflqr.qreg import QrProblem, check_loss, qr_fit, qr_fit_multi, qr_objective
 from oracles import brute_force_qr, linprog_qr, objective_value
 
@@ -254,3 +255,110 @@ def test_multi_is_optimal_for_every_column(seed, n, tau, tied, collinear):
     for k in range(Y.shape[1]):
         want, _ = linprog_qr(X, Y[:, k], tau)
         assert obj[k] == pytest.approx(want, rel=1e-7, abs=1e-9)
+
+
+def random_stack(rng, B=6, n=50, q=4):
+    """B problems with their own designs, responses and levels."""
+    X = np.concatenate([np.ones((B, n, 1)), rng.normal(size=(B, n, q - 1))], axis=2)
+    y = (X @ rng.normal(size=(B, q, 1)))[..., 0] + rng.standard_t(3, size=(B, n))
+    y[::2] = np.round(y[::2])  # ties in every other problem
+    tau = rng.choice([0.01, 0.3, 0.5, 0.99], size=B)
+    return X, y, tau
+
+
+def refuse_problem_1(monkeypatch, attempts):
+    """Fail the first batched factorization, then refuse problem 1's normal
+    matrix on its next ``attempts`` tries alone; returns the tries left."""
+    real = np.linalg.cholesky
+    refused = {}
+
+    def cholesky(M):
+        if M.ndim == 3 and not refused:
+            refused["matrix"], refused["left"] = M[1].copy(), attempts
+            raise np.linalg.LinAlgError("forced")
+        retry = M.ndim == 2 and refused.get("left")
+        if retry and np.allclose(M, refused["matrix"], rtol=1e-6, atol=0):
+            refused["left"] -= 1
+            raise np.linalg.LinAlgError("forced")
+        return real(M)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    return refused
+
+
+class TestStackedSolver:
+    def test_stack_order_does_not_change_coefficients(self):
+        X, y, tau = random_stack(np.random.default_rng(60))
+        coefs, solved = qreg._frisch_newton(X, y, tau)
+        assert solved.all()
+        rev, _ = qreg._frisch_newton(X[::-1], y[::-1], tau[::-1])
+        np.testing.assert_array_equal(rev[::-1], coefs)
+        for b in range(len(X)):
+            alone, _ = qreg._frisch_newton(X[b : b + 1], y[b : b + 1], tau[b : b + 1])
+            np.testing.assert_array_equal(alone[0], coefs[b])
+
+    @pytest.mark.parametrize("attempts", [1, 4])
+    def test_factorization_failure_stays_with_its_problem(self, monkeypatch, attempts):
+        # One refusal is recovered by a jitter retry; four leave problem 1
+        # unsolved. Either way the other problems do not notice.
+        X, y, tau = random_stack(np.random.default_rng(61))
+        want, _ = qreg._frisch_newton(X, y, tau)
+        refused = refuse_problem_1(monkeypatch, attempts)
+        coefs, solved = qreg._frisch_newton(X, y, tau)
+        assert refused["left"] == 0
+        others = np.arange(len(X)) != 1
+        np.testing.assert_array_equal(coefs[others], want[others])
+        assert solved[others].all()
+        if attempts < 4:
+            assert solved[1]
+            got = objective_value(X[1], y[1], coefs[1], tau[1])
+            assert got == pytest.approx(linprog_qr(X[1], y[1], tau[1])[0], rel=1e-7, abs=1e-9)
+        else:
+            assert not solved[1]
+
+    def test_unfactorable_column_is_named(self, monkeypatch):
+        rng = np.random.default_rng(63)
+        X = np.column_stack([np.ones(40), rng.normal(size=(40, 2))])
+        refuse_problem_1(monkeypatch, 4)
+        with pytest.raises(NumericalError, match="response column 1: "):
+            qr_fit_multi(X, rng.normal(size=(40, 3)), 0.5)
+
+    def test_unconverged_column_is_named(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        X = np.column_stack([np.ones(30), rng.normal(size=30)])
+        monkeypatch.setattr(qreg, "_MAX_ITER", 1)
+        with pytest.raises(NumericalError, match="response column 0: .* in 1 iterations"):
+            qr_fit_multi(X, rng.normal(size=(30, 3)), 0.5)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 40),
+    n_designs=st.integers(1, 3),
+    taus=st.lists(st.sampled_from([0.01, 0.3, 0.5, 0.99]), min_size=1, max_size=2),
+    tied=st.booleans(),
+    collinear=st.booleans(),
+)
+def test_stack_is_optimal_for_every_problem(seed, n, n_designs, taus, tied, collinear):
+    # Each design has its own columns; with `collinear`, the first design
+    # drops a column and is solved apart from the others.
+    rng = np.random.default_rng(seed)
+    designs = np.concatenate(
+        [np.ones((n_designs, n, 1)), rng.normal(size=(n_designs, n, 3))], axis=2
+    )
+    if collinear:
+        designs[0, :, 3] = designs[0, :, 1] - 2.0 * designs[0, :, 2]
+    Y = designs @ rng.normal(size=(n_designs, 4, 2)) + rng.standard_t(3, size=(n_designs, n, 2))
+    if tied:
+        Y = np.round(Y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        coefs, solved = qreg._fit_stack(designs, Y, taus)
+    assert solved.all()
+    for g in range(n_designs):
+        for t, tau in enumerate(taus):
+            obj = qr_objective(designs[g], Y[g], coefs[g, t], tau)
+            for k in range(2):
+                want, _ = linprog_qr(designs[g], Y[g, :, k], tau)
+                assert obj[k] == pytest.approx(want, rel=1e-7, abs=1e-9)
