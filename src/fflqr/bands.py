@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .fdata import FunctionalSample, Grid, write_sample_csv
-from .model import _fit_scores, _unwrap, fit_bspline_ls, predict
+from .model import _decompose, _fit_scores, _unwrap, fit_bspline_ls, predict
 
 __all__ = [
     "PredictionBand",
@@ -89,18 +89,20 @@ def mspe(Y_true: FunctionalSample, Y_pred: FunctionalSample) -> float:
     return float(np.mean(sq @ Y_true.grid.weights))
 
 
-def _fit_for(method, samples, tau, k_y, k_x, predictor_indices=None) -> list:
+def _fit_for(method, samples, tau, k_y, k_x, predictor_indices=None, decs=None) -> list:
     """Fit one of the three estimators by name to each ``(Y, X)`` pair that
     ``samples`` yields; the only method dispatch.
 
     Returns one entry per sample: its fit, or the ``NumericalError`` that
-    stopped it. The score-space methods decompose each sample once and solve
-    the check-loss problems of all samples in one stacked call.
+    stopped it. The score-space methods decompose each sample once at
+    ``(k_y, k_x)``, unless ``decs`` yields those decompositions already, and
+    solve the check-loss problems of all samples in one stacked call.
     """
     if method in ("fflqr", "fpc-ls"):
+        if decs is None:
+            decs = (_decompose(Y, X, k_y, [k_x] * len(X)) for Y, X in samples)
         level = tau if method == "fflqr" else 0.5
-        fits = _fit_scores(samples, [level], k_y, k_x, predictor_indices, method)
-        return [fit for (fit,) in fits]
+        return [fit for (fit,) in _fit_scores(decs, [level], predictor_indices, method)]
     if method == "bspline-ls":
         fits = []
         for Y, X in samples:
@@ -187,9 +189,8 @@ def direct_band(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
-    (fits,) = _fit_scores(
-        [(Y_train, X_train)], [alpha / 2.0, 1.0 - alpha / 2.0], k_y, k_x, None, "fflqr"
-    )
+    dec = _decompose(Y_train, X_train, k_y, [k_x] * len(X_train))
+    (fits,) = _fit_scores([dec], [alpha / 2.0, 1.0 - alpha / 2.0], None, "fflqr")
     lower, upper = (predict(_unwrap(fit), X_test).values for fit in fits)
     crossed = lower > upper
     rate = float(np.mean(crossed))

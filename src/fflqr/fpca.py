@@ -8,7 +8,7 @@ and the component scores have variance equal to the eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,20 +33,22 @@ class FpcBasis:
     eigenfunctions : ndarray, shape (K, p)
         Eigenfunctions, orthonormal under the grid's quadrature weights.
     eigenvalues : ndarray, shape (K,)
-        Matching eigenvalues in decreasing order, all nonnegative.
-    rank_deficient : bool
-        True when a requested component had a (numerically) zero eigenvalue.
+        Matching eigenvalues in decreasing order, all nonnegative; numerically
+        zero ones are exactly 0.0, and ``rank_deficient`` says if any are.
     """
 
     grid: Grid
     mean: np.ndarray
     eigenfunctions: np.ndarray
     eigenvalues: np.ndarray
-    rank_deficient: bool
 
     @property
     def n_components(self) -> int:
         return self.eigenfunctions.shape[0]
+
+    @property
+    def rank_deficient(self) -> bool:
+        return bool(np.any(self.eigenvalues == 0.0))
 
 
 def fpc_decompose(sample: FunctionalSample, n_components: int) -> tuple[FpcBasis, np.ndarray]:
@@ -89,16 +91,9 @@ def fpc_decompose(sample: FunctionalSample, n_components: int) -> tuple[FpcBasis
     lam = eigvals[order]
     vecs = eigvecs[:, order]
 
-    lam_max = lam[0] if lam.size else 0.0
-    rank_deficient = False
-    if lam_max <= 0.0:
-        lam = np.zeros_like(lam)
-        rank_deficient = True
-    else:
-        small = lam < _EIGVAL_RTOL * lam_max
-        if np.any(small):
-            lam = np.where(small, 0.0, lam)
-            rank_deficient = True
+    # Numerically nil eigenvalues become 0.0; all do if the covariance vanishes.
+    cutoff = _EIGVAL_RTOL * lam[0] if lam[0] > 0.0 else np.inf
+    lam = np.where(lam < cutoff, 0.0, lam)
 
     # Back-transform to eigenfunctions of the covariance operator and fix
     # the sign so the entry of largest magnitude is positive.
@@ -108,9 +103,17 @@ def fpc_decompose(sample: FunctionalSample, n_components: int) -> tuple[FpcBasis
         if funcs[k, j] < 0:
             funcs[k] = -funcs[k]
 
-    basis = FpcBasis(sample.grid, mean, funcs, lam, rank_deficient)
+    basis = FpcBasis(sample.grid, mean, funcs, lam)
     scores = centered.values @ (funcs * w).T
     return basis, scores
+
+
+def _leading(decomposition: tuple, k: int) -> tuple:
+    """The first ``k`` components of an ``fpc_decompose`` result; only the
+    scores may differ from ``fpc_decompose(sample, k)``, in the last bits."""
+    basis, scores = decomposition
+    funcs, lam = basis.eigenfunctions[:k], basis.eigenvalues[:k]
+    return replace(basis, eigenfunctions=funcs, eigenvalues=lam), scores[:, :k]
 
 
 def project_scores(basis: FpcBasis, sample: FunctionalSample) -> np.ndarray:

@@ -150,28 +150,26 @@ def _design(blocks) -> np.ndarray:
     return np.hstack([np.ones((blocks[0].shape[0], 1))] + blocks)
 
 
-def _fit_scores(samples, taus, k_y, k_x, predictor_indices, method) -> list:
+def _fit_scores(decs, taus, predictor_indices, method) -> list:
     """Score-space fits of ``fit_fflqr`` (check loss) or ``fit_fpc_ls``.
 
-    ``fits[i][j]`` fits the i-th ``(Y, X)`` pair that ``samples`` yields at
-    ``taus[j]``. Each sample is decomposed once, and the check-loss problems
-    of every sample, level and response score are solved in one stacked
-    call. A fit whose problem was not solved is the ``NumericalError``
-    naming its response column.
+    ``decs`` yields ``_decompose`` outputs; their component counts are the
+    fits' truncations. ``fits[i][j]`` fits the i-th of them at ``taus[j]``.
+    The check-loss problems of every sample, level and response score are
+    solved in one stacked call. A fit whose problem was not solved is the
+    ``NumericalError`` naming its response column.
     """
-    parts = []
-    for Y, X in samples:
-        indices = _resolve_indices(X, predictor_indices)
-        parts.append(_decompose(Y, X, k_y, [k_x] * len(X)))
-    designs = np.stack([_design(zeta for _, zeta in preds) for _, preds in parts])
-    xis = np.stack([xi for (_, xi), _ in parts])
+    decs = list(decs)
+    indices = _resolve_indices(decs[0][1], predictor_indices)
+    designs = np.stack([_design(zeta for _, zeta in preds) for _, preds in decs])
+    xis = np.stack([xi for (_, xi), _ in decs])
     if method == "fflqr":
         coefs, solved = _fit_stack(designs, xis, taus)
     else:
         coefs = np.stack([[_ls_solve(d, xi)] * len(taus) for d, xi in zip(designs, xis)])
         solved = np.ones(coefs.shape[:2] + coefs.shape[3:], dtype=bool)
     fits = []
-    for ((response_basis, _), preds), sample_coefs, sample_solved in zip(parts, coefs, solved):
+    for ((response_basis, _), preds), sample_coefs, sample_solved in zip(decs, coefs, solved):
         bases = tuple(basis for basis, _ in preds)
         fits.append([
             _column_failure(ok) or FflqrFit(tau, response_basis, bases, c, indices, method)
@@ -215,7 +213,8 @@ def fit_fflqr(
     -------
     FflqrFit
     """
-    return _unwrap(_fit_scores([(Y, X)], [tau], k_y, k_x, predictor_indices, "fflqr")[0][0])
+    dec = _decompose(Y, X, k_y, [k_x] * len(X))
+    return _unwrap(_fit_scores([dec], [tau], predictor_indices, "fflqr")[0][0])
 
 
 def fit_fpc_ls(
@@ -226,7 +225,8 @@ def fit_fpc_ls(
     predictor_indices=None,
 ) -> FflqrFit:
     """Least squares counterpart of ``fit_fflqr`` on the same score design."""
-    return _unwrap(_fit_scores([(Y, X)], [0.5], k_y, k_x, predictor_indices, "fpc-ls")[0][0])
+    dec = _decompose(Y, X, k_y, [k_x] * len(X))
+    return _unwrap(_fit_scores([dec], [0.5], predictor_indices, "fpc-ls")[0][0])
 
 
 def _ls_solve(design: np.ndarray, responses: np.ndarray) -> np.ndarray:
@@ -412,7 +412,6 @@ def _basis_from_json(obj: dict) -> FpcBasis:
         np.array(obj["mean"]),
         np.array(obj["eigenfunctions"]),
         np.array(obj["eigenvalues"]),
-        bool(obj["rank_deficient"]),
     )
 
 

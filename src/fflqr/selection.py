@@ -198,8 +198,16 @@ def forward_select(
     k_y_cap = min(k_y_max, n - 1, Y.grid.size)
     k_xs = [max(fixed_k, min(k_x_max, n - 1, x.grid.size)) for x in X]
     dec = _decompose(Y, X, max(fixed_k, k_y_cap), k_xs)
+    return _forward_select(Y, dec, tau, ratio_threshold, fixed_k, k_y_cap, k_x_max)
+
+
+def _forward_select(Y, dec, tau, ratio_threshold, fixed_k, k_y_max, k_x_max):
+    """``forward_select`` on ``dec``, a wide enough ``_decompose`` output of Y
+    and every candidate; ``k_y_max`` is already capped at ``min(n - 1, p)``."""
+    n = Y.n
+    preds = dec[1]
     trace, chosen, current_bic = [], [], None
-    remaining = list(range(1, len(X) + 1))
+    remaining = list(range(1, len(preds) + 1))
     while remaining:
         stage = f"stage{len(chosen) + 1}"
         results = []
@@ -226,8 +234,8 @@ def forward_select(
     if not chosen:
         raise NumericalError("no predictor candidate could be fit")
     D = [i - 1 for i in chosen]
-    k_x_cap = min([k_x_max, n - 1] + [X[m].grid.size for m in D])
-    k_y, k_x, k_trace = _search_truncation(Y, dec, D, tau, k_y_cap, k_x_cap)
+    k_x_cap = min([k_x_max, n - 1] + [preds[m][0].grid.size for m in D])
+    k_y, k_x, k_trace = _search_truncation(Y, dec, D, tau, k_y_max, k_x_cap)
     return SelectionResult(k_y, k_x, tuple(chosen), tuple(trace) + k_trace)
 
 

@@ -20,8 +20,9 @@ from .bands import (
 )
 from .errors import ConfigError, NumericalError
 from .fdata import FunctionalSample, Grid, make_uniform_grid
-from .model import CoefficientSurface, _unwrap, predict
-from .selection import forward_select, select_truncation
+from .fpca import _leading
+from .model import CoefficientSurface, _decompose, _unwrap, predict
+from .selection import _forward_select, _search_truncation
 
 __all__ = [
     "SimConfig",
@@ -364,27 +365,18 @@ def generate_dataset(config: SimConfig, seed) -> SimData:
     )
 
 
-def _model_spec(config: SimConfig, data: SimData, model: str) -> tuple:
-    """Resolve (predictor labels, k_y, k_x) for one model variant."""
-    tau = config.tau
-    if model in ("full", "true"):
-        D = tuple(range(1, config.M + 1)) if model == "full" else config.significant
-        subset = [data.X_train[i - 1] for i in D]
-        k_y, k_x, _ = select_truncation(
-            data.Y_train, subset, tau, config.k_y_max, config.k_x_max
+def _model_spec(config: SimConfig, data: SimData, dec, model: str) -> tuple:
+    """Resolve (predictor labels, k_y, k_x) for one model variant from the
+    replicate's decomposition ``dec``."""
+    if model == "selected":
+        sel = _forward_select(
+            data.Y_train, dec, config.tau, 0.95, config.fixed_k, config.k_y_max, config.k_x_max
         )
-    elif model == "selected":
-        sel = forward_select(
-            data.Y_train,
-            data.X_train,
-            tau,
-            fixed_k=config.fixed_k,
-            k_y_max=config.k_y_max,
-            k_x_max=config.k_x_max,
-        )
-        D, k_y, k_x = sel.chosen_predictors, sel.chosen_k_y, sel.chosen_k_x
-    else:
-        raise ConfigError(f"unknown model variant {model!r}")
+        return sel.chosen_predictors, sel.chosen_k_y, sel.chosen_k_x
+    D = tuple(range(1, config.M + 1)) if model == "full" else config.significant
+    k_y, k_x, _ = _search_truncation(
+        data.Y_train, dec, [i - 1 for i in D], config.tau, config.k_y_max, config.k_x_max
+    )
     return D, k_y, k_x
 
 
@@ -396,18 +388,24 @@ def _replicate_reports(
     scenario = config.label()
     n_slots = len(ALL_MODELS) * (len(ALL_METHODS) + 1)
     boot_children = boot_ss.spawn(n_slots)
+    # One decomposition per training sample: every model and fit slices it.
+    k_y_max, k_x_max = (max(config.fixed_k, k) for k in (config.k_y_max, config.k_x_max))
+    dec_y, dec_xs = dec = _decompose(data.Y_train, data.X_train, k_y_max, [k_x_max] * config.M)
 
     reports = []
     for model in ALL_MODELS:
         if model not in models:
             continue
-        D, k_y, k_x = _model_spec(config, data, model)
+        D, k_y, k_x = _model_spec(config, data, dec, model)
         X_tr = [data.X_train[i - 1] for i in D]
         X_te = [data.X_test[i - 1] for i in D]
+        model_dec = (_leading(dec_y, k_y), [_leading(dec_xs[i - 1], k_x) for i in D])
         for method in ALL_METHODS:
             if method not in methods:
                 continue
-            fit = _unwrap(_fit_for(method, [(data.Y_train, X_tr)], config.tau, k_y, k_x, D)[0])
+            fit = _unwrap(_fit_for(
+                method, [(data.Y_train, X_tr)], config.tau, k_y, k_x, D, [model_dec]
+            )[0])
             err = mspe(data.Y_test_signal, predict(fit, X_te))
             band_cpd = band_score = None
             slot = ALL_MODELS.index(model) * (len(ALL_METHODS) + 1) + ALL_METHODS.index(method)
@@ -464,6 +462,7 @@ def run_monte_carlo(
     Parameters
     ----------
     config : SimConfig
+        Its truncations must not exceed min(n_train - 1, n_grid) (``ConfigError``).
     methods : iterable of str
         Subset of {"fflqr", "fpc-ls", "bspline-ls"}.
     models : iterable of str
@@ -494,6 +493,11 @@ def run_monte_carlo(
         raise ConfigError(f"alpha must lie strictly inside (0, 1), got {alpha}")
     if n_threads < 1:
         raise ConfigError(f"thread count must be at least 1, got {n_threads}")
+    k_cap = min(config.n_train - 1, config.n_grid)
+    if max(config.fixed_k, config.k_y_max, config.k_x_max) > k_cap:
+        raise ConfigError(
+            f"fixed_k, k_y_max and k_x_max must not exceed min(n_train - 1, n_grid) = {k_cap}"
+        )
 
     children = np.random.SeedSequence(config.master_seed).spawn(config.n_replicates)
 

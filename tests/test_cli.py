@@ -416,10 +416,11 @@ class TestBadValueExitCodes:
         ("interval", ["--train-x", "X2_train.csv"], 3),
         ("interval", ["--train-x", "X2_train.csv", "--method", "direct"], 3),
         ("benchmark", ["--alpha", "1.5"], 2),
+        ("benchmark", ["--n-train", "2"], 2),
     ], ids=[
         "interval-R-1", "bootstrap-alpha-1.5", "bootstrap-alpha-0",
         "direct-alpha-1.5", "direct-alpha-0", "bootstrap-train-x-count",
-        "direct-train-x-count", "benchmark-alpha-1.5",
+        "direct-train-x-count", "benchmark-alpha-1.5", "benchmark-n-train-2",
     ])
     def test_exit_code(self, tmp_path, command, flags, code):
         if command == "interval":

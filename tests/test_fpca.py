@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fflqr.fdata import FunctionalSample, Grid, inner_product, make_uniform_grid
-from fflqr.fpca import fpc_decompose, project_scores, reconstruct
+from fflqr.fpca import _leading, fpc_decompose, project_scores, reconstruct
 
 
 def smooth_sample(rng, n, grid, n_harmonics=6, decay=0.6):
@@ -180,3 +180,11 @@ def test_decomposition_invariants(seed, n, p, uniform, repeated):
     np.testing.assert_array_equal(basis.eigenvalues, big.eigenvalues[:k])
     scale = max(np.abs(big_scores).max(), np.finfo(float).tiny)
     assert np.abs(scores - big_scores[:, :k]).max() <= 1e-12 * scale
+
+    # the prefix helper gives the same K-component decomposition
+    prefix, prefix_scores = _leading((big, big_scores), k)
+    np.testing.assert_array_equal(prefix.eigenfunctions, basis.eigenfunctions)
+    np.testing.assert_array_equal(prefix.eigenvalues, basis.eigenvalues)
+    np.testing.assert_array_equal(prefix.mean, basis.mean)
+    assert prefix.rank_deficient == basis.rank_deficient
+    assert np.abs(prefix_scores - scores).max() <= 1e-12 * scale

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fflqr.model as model_mod
 import fflqr.simulate as sim_mod
 from fflqr.bands import MetricsReport, mspe
 from fflqr.errors import ConfigError, NumericalError
@@ -366,6 +367,34 @@ class TestRunMonteCarlo:
         monkeypatch.setattr(sim_mod, "_replicate_reports", no_replicate)
         with pytest.raises(ConfigError, match="alpha"):
             run_monte_carlo(tiny_config(), alpha=alpha)
+
+    @pytest.mark.parametrize("field", ["fixed_k", "k_y_max", "k_x_max"])
+    def test_truncation_above_rank_bound_raises_before_any_replicate(
+        self, monkeypatch, field
+    ):
+        def no_replicate(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(sim_mod, "_replicate_reports", no_replicate)
+        # n_train = 5 leaves at most 4 components
+        with pytest.raises(ConfigError, match=r"min\(n_train - 1, n_grid\) = 4"):
+            run_monte_carlo(tiny_config(n_train=5, **{field: 5}))
+
+    @pytest.mark.filterwarnings("ignore::fflqr.errors.RankDeficiencyWarning")
+    def test_one_decomposition_per_training_sample(self, monkeypatch):
+        decomposed = []
+        real = model_mod.fpc_decompose
+
+        def counting(sample, n_components):
+            decomposed.append(sample.values.tobytes())
+            return real(sample, n_components)
+
+        monkeypatch.setattr(model_mod, "fpc_decompose", counting)
+        config = tiny_config(n_replicates=1)
+        reports = run_monte_carlo(config)
+        assert len(reports) == len(sim_mod.ALL_METHODS) * len(sim_mod.ALL_MODELS)
+        assert len(decomposed) == 1 + config.M
+        assert len(set(decomposed)) == 1 + config.M
 
     def test_runs_serially_by_default(self, monkeypatch):
         monkeypatch.setattr(sim_mod, "ThreadPoolExecutor", None)
