@@ -10,17 +10,19 @@ and the regression coefficients are recovered from the multipliers of the
 equality constraints.
 
 One core solves a stack of problems, each with its own design, response
-and level. Normal matrices are formed and factored for the whole stack;
-step lengths, convergence and failure are tracked per problem by masks,
-and problems leave the stack as they finish. A normal matrix the batched
-factorization rejects is retried alone with jitter. Every operation acts
-on one problem at a time, so a problem's coefficients do not depend on the
-stack it is solved in. ``qr_fit_multi`` is the public single-design entry;
-fits and bands go through the stacked ``_fit_stack``.
+and level. Designs of one width form a group owning a block of rows of the
+per-problem state; only design products and normal equations run per group.
+Convergence and failure are tracked per problem by masks, and problems
+leave as they finish; a matrix the batched Cholesky rejects is retried
+alone with jitter. Every operation acts on one problem at a time, so a
+problem's coefficients do not depend on its stack. ``qr_fit_multi`` is the
+public single-design entry; fits, bands and selection solve designs of any
+widths in one core call through ``_fit_stack``.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -120,6 +122,13 @@ def _step(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
     return ratio.min(axis=1)
 
 
+def _box_step(a: np.ndarray, s: np.ndarray, da: np.ndarray) -> np.ndarray:
+    """``min(_step(a, da), _step(s, -da))`` in one pass; ``-s / -da == s / da``."""
+    ratio = np.divide(-a, da, out=np.full_like(a, np.inf), where=da < 0)
+    np.divide(s, da, out=ratio, where=da > 0)
+    return ratio.min(axis=1)
+
+
 def _cholesky(M: np.ndarray) -> tuple:
     """Lower Cholesky factors of a stack of normal matrices, and the mask of
     the matrices factored. When the batched factorization fails, each matrix
@@ -149,64 +158,92 @@ def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(L.swapaxes(1, 2), np.linalg.solve(L, rhs[..., None]))[..., 0]
 
 
-def _frisch_newton(X: np.ndarray, y: np.ndarray, tau: np.ndarray) -> tuple:
+def _slices(groups) -> list:
+    """The consecutive row slices the groups own, in order."""
+    stops = itertools.accumulate(len(grp[1]) for grp in groups)
+    return [slice(stop - len(grp[1]), stop) for grp, stop in zip(groups, stops)]
+
+
+def _keep(keep: np.ndarray, groups: list, rows) -> tuple:
+    """Groups (index, per-problem arrays) and row arrays cut to ``keep``; empty groups go."""
+    kept = [grp[:1] + tuple(v[keep[rs]] for v in grp[1:])
+            for grp, rs in zip(groups, _slices(groups)) if keep[rs].any()]
+    return kept, tuple(v[keep] for v in rows)
+
+
+def _newton(groups: list, v: np.ndarray) -> tuple:
+    """Per group, ``dnu`` solving ``L L' dnu = X' v`` on its rows, and ``X dnu``."""
+    dnus = [_cho_solve(L, _mv(X.swapaxes(1, 2), v[rs]))
+            for (_, X, _, L), rs in zip(groups, _slices(groups))]
+    return dnus, np.concatenate([_mv(grp[1], dnu) for grp, dnu in zip(groups, dnus)])
+
+
+def _frisch_newton(Xs, y: np.ndarray, tau: np.ndarray) -> tuple:
     """Interior-point solve of a stack of quantile regressions.
 
-    ``X`` is (B, n, q) with full-rank designs, ``y`` is (B, n) and ``tau``
-    is (B,). Returns the (B, q) coefficients and the mask of the problems
+    ``Xs`` lists G stacks of full-rank designs, the g-th (B_g, n, q_g), whose
+    problems own consecutive rows of ``y`` (B, n) and ``tau`` (B,). Returns
+    the G (B_g, q_g) coefficient arrays and the (B,) mask of the problems
     solved. Every operation acts on each problem alone, so a problem gets
-    the same coefficients in any stack; solved and failed problems leave
-    the stack as they finish.
+    the same coefficients in any stack; problems leave as they finish.
     """
     # Contiguous rows keep every reduction in one summation order.
-    X = np.ascontiguousarray(X, dtype=float)
+    Xs = [np.ascontiguousarray(X, dtype=float) for X in Xs]
     y = np.ascontiguousarray(y, dtype=float)
-    B, n, q = X.shape
-    coefs = np.zeros((B, q))
-    solved = np.zeros(B, dtype=bool)
-    idx = np.arange(B)
+    coefs = [np.zeros((len(X), X.shape[2])) for X in Xs]
+    solved = np.zeros(len(y), dtype=bool)
+    if len(y) == 0:
+        return coefs, solved
+    n = y.shape[1]
+    idx = np.arange(len(y))
+    pos = np.concatenate([np.arange(len(X)) for X in Xs])  # place in its stack
     tau = np.asarray(tau, dtype=float)[:, None]
     a = np.repeat(1.0 - tau, n, axis=1)
     s = 1.0 - a
 
-    Q, R = np.linalg.qr(X)
-    nu = np.linalg.solve(R, _mv(Q.swapaxes(1, 2), -y)[..., None])[..., 0]
-    zeta = -y - _mv(X, nu)
+    groups = [(g, X) for g, X in enumerate(Xs) if len(X)]
+    for i, rs in enumerate(_slices(groups)):
+        Q, R = np.linalg.qr(groups[i][1])
+        groups[i] += (np.linalg.solve(R, _mv(Q.swapaxes(1, 2), -y[rs])[..., None])[..., 0],)
+    zeta = -y - np.concatenate([_mv(X, nu) for _, X, nu in groups])
     h = np.maximum(1e-4, 1e-4 * np.mean(np.abs(zeta), axis=1))[:, None]
     z = np.maximum(zeta, 0.0) + h
     w = np.maximum(-zeta, 0.0) + h
 
     for _ in range(_MAX_ITER):
         # zeta = c - X nu with c = -y, so -zeta are the residuals y - X b.
-        zeta = -y - _mv(X, nu)
+        zeta = -y - np.concatenate([_mv(X, nu) for _, X, nu in groups])
         gap = _dot(a, z) + _dot(s, w)
         objective = np.sum(-zeta * (tau - (-zeta < 0)), axis=1)
         done = (gap < _GAP_ABS) | (gap < _GAP_REL * (1.0 + np.abs(objective)))
         if done.any():
-            coefs[idx[done]] = -nu[done]
+            for (g, _, nu), rs in zip(groups, _slices(groups)):
+                coefs[g][pos[rs][done[rs]]] = -nu[done[rs]]
             solved[idx[done]] = True
-            keep = ~done
-            X, y, tau, a, s, z, w, nu, zeta, gap, idx = (
-                v[keep] for v in (X, y, tau, a, s, z, w, nu, zeta, gap, idx)
-            )
+            rows = (y, tau, a, s, z, w, zeta, gap, idx, pos)
+            groups, (y, tau, a, s, z, w, zeta, gap, idx, pos) = _keep(~done, groups, rows)
             if idx.size == 0:
                 break
 
         d = 1.0 / (z / a + w / s)
-        L, keep = _cholesky(X.swapaxes(1, 2) @ (X * d[..., None]))
+        factors = [_cholesky(X.swapaxes(1, 2) @ (X * d[rs, :, None]))
+                   for (_, X, _), rs in zip(groups, _slices(groups))]
+        groups = [grp + (L,) for grp, (L, _) in zip(groups, factors)]
+        keep = np.concatenate([ok for _, ok in factors])
         if not keep.all():
-            X, y, tau, a, s, z, w, nu, zeta, gap, idx, d, L = (
-                v[keep] for v in (X, y, tau, a, s, z, w, nu, zeta, gap, idx, d, L)
-            )
+            rows = (y, tau, a, s, z, w, zeta, gap, idx, pos, d)
+            groups, (y, tau, a, s, z, w, zeta, gap, idx, pos, d) = _keep(keep, groups, rows)
+            if idx.size == 0:
+                break
         mu = (gap / (2.0 * n))[:, None]
 
         # Affine (predictor) direction: pure Newton toward complementarity 0.
-        dnu = _cho_solve(L, _mv(X.swapaxes(1, 2), d * zeta))
-        da = d * (_mv(X, dnu) - zeta)
+        dnus, Xdnu = _newton(groups, d * zeta)
+        da = d * (Xdnu - zeta)
         dz = -z * (1.0 + da / a)
         dw = -w * (1.0 - da / s)
 
-        alpha_p = np.minimum(1.0, np.minimum(_step(a, da), _step(s, -da)))[:, None]
+        alpha_p = np.minimum(1.0, _box_step(a, s, da))[:, None]
         alpha_d = np.minimum(1.0, np.minimum(_step(z, dz), _step(w, dw)))[:, None]
         mu_aff = (
             _dot(a + alpha_p * da, z + alpha_d * dz)
@@ -214,22 +251,23 @@ def _frisch_newton(X: np.ndarray, y: np.ndarray, tau: np.ndarray) -> tuple:
         )[:, None] / (2.0 * n)
         sigma = np.clip((np.maximum(mu_aff, 0.0) / mu) ** 3, 1e-8, 1.0 - 1e-8)
 
-        # Combined corrector step with the same factorization.
+        # Combined corrector step with the same factorizations.
         t1 = sigma * mu - da * dz - a * z
         t2 = sigma * mu + da * dw - s * w
         r = d * (t1 / a - t2 / s)
-        dnu = _cho_solve(L, -_mv(X.swapaxes(1, 2), r))
-        da = d * _mv(X, dnu) + r
+        dnus, Xdnu = _newton(groups, -r)
+        da = d * Xdnu + r
         dz = (t1 - z * da) / a
         dw = (t2 + w * da) / s
 
-        alpha_p = np.minimum(1.0, _STEP_FRAC * np.minimum(_step(a, da), _step(s, -da)))
+        alpha_p = np.minimum(1.0, _STEP_FRAC * _box_step(a, s, da))
         alpha_d = np.minimum(1.0, _STEP_FRAC * np.minimum(_step(z, dz), _step(w, dw)))
         a = a + alpha_p[:, None] * da
         s = s - alpha_p[:, None] * da
-        nu = nu + alpha_d[:, None] * dnu
         z = z + alpha_d[:, None] * dz
         w = w + alpha_d[:, None] * dw
+        groups = [(g, X, nu + alpha_d[rs, None] * dnu)
+                  for (g, X, nu, _), rs, dnu in zip(groups, _slices(groups), dnus)]
 
     return coefs, solved
 
@@ -265,37 +303,38 @@ def qr_fit(problem: QrProblem) -> np.ndarray:
     return qr_fit_multi(problem.design, problem.response[:, None], problem.tau)[:, 0]
 
 
-def _fit_stack(designs: np.ndarray, responses: np.ndarray, taus) -> tuple:
-    """Fit every response column of every design at every level in one stack.
+def _fit_stack(designs, responses, taus) -> tuple:
+    """Fit every response column of every design at every level in one call
+    of the interior-point core.
 
-    ``designs`` is (G, n, q), ``responses`` is (G, n, K) and ``taus`` has T
-    levels. Returns the (G, T, q, K) coefficients and the (G, T, K) mask of
-    the problems solved; ``ValueError`` for n < q, a level outside (0, 1)
-    or a value that is not finite. Each design's dependent columns are
-    found once and get zero coefficients; designs that keep the same
-    columns share one call of the interior-point core.
+    ``designs`` holds G (n, q_g) designs of any widths, ``responses`` their
+    (n, K) response matrices and ``taus`` T levels. Returns the G (T, q_g, K)
+    coefficients and the (G, T, K) mask of the problems solved; ValueError
+    for n < q_g, a level outside (0, 1) or a nonfinite value. Dependent
+    columns get zero coefficients; designs keeping the same columns share a
+    group of the core.
     """
-    _check_values(designs, responses, taus)
-    G, n, q = designs.shape
-    K = responses.shape[2]
     taus = np.asarray(taus, dtype=float)
-    T = taus.size
-    coefs = np.zeros((G, T, q, K))
-    solved = np.ones((G, T, K), dtype=bool)
+    for design, response in zip(designs, responses):
+        _check_values(design, response, taus)
+    n, K, T = responses[0].shape + (taus.size,)
+    coefs = [np.zeros((T, design.shape[1], K)) for design in designs]
+    solved = np.ones((len(designs), T, K), dtype=bool)
     groups = {}
     for g, design in enumerate(designs):
         groups.setdefault(tuple(_column_rank(design)), []).append(g)
-    for keep, members in groups.items():
-        if not keep:
-            continue
-        m = len(members)
-        # Problems in (design, level, response column) order.
-        X = np.repeat(designs[members][:, :, keep], T * K, axis=0)
-        y = np.tile(responses[members].swapaxes(1, 2), (1, T, 1)).reshape(-1, n)
-        b, ok = _frisch_newton(X, y, np.repeat(np.tile(taus, m), K))
-        b = b.reshape(m, T, K, -1).swapaxes(2, 3)
-        coefs[np.ix_(members, range(T), keep, range(K))] = b
-        solved[members] = ok.reshape(m, T, K)
+    groups.pop((), None)  # a design of rank 0 keeps zero coefficients
+    order = [g for members in groups.values() for g in members]
+    # Problems in (design, level, response column) order, designs by group.
+    Xs = [np.repeat(np.stack([designs[g][:, keep] for g in members]), T * K, axis=0)
+          for keep, members in groups.items()]
+    y = np.tile(np.asarray(responses)[order].swapaxes(1, 2), (1, T, 1)).reshape(-1, n)
+    b, ok = _frisch_newton(Xs, y, np.repeat(np.tile(taus, len(order)), K))
+    solved[order] = ok.reshape(len(order), T, K)
+    for (keep, members), bg in zip(groups.items(), b):
+        bg = bg.reshape(len(members), T, K, len(keep)).swapaxes(2, 3)
+        for g, c in zip(members, bg):
+            coefs[g][:, list(keep)] = c
     return coefs, solved
 
 
@@ -331,11 +370,11 @@ def qr_fit_multi(design: np.ndarray, responses: np.ndarray, tau: float) -> np.nd
         solved raises ``NumericalError`` naming it.
     """
     design, responses = _validate(design, responses, tau, ndim=2)
-    coefs, solved = _fit_stack(design[None], responses[None], [tau])
+    coefs, solved = _fit_stack([design], [responses], [tau])
     failure = _column_failure(solved[0, 0])
     if failure is not None:
         raise failure
-    return coefs[0, 0]
+    return coefs[0][0]
 
 
 def qr_objective(

@@ -9,8 +9,8 @@ import numpy as np
 
 from .errors import NumericalError
 from .fdata import FunctionalSample
-from .model import _decompose, _design
-from .qreg import check_loss, qr_fit_multi
+from .model import _decompose, _design, _unwrap
+from .qreg import _column_failure, _fit_stack, check_loss
 
 __all__ = [
     "BicTraceEntry",
@@ -73,36 +73,38 @@ def log_loss_norm(Y: FunctionalSample, fitted: FunctionalSample, tau: float) -> 
     return float(np.sqrt(np.sum(Y.grid.weights * log_loss**2)))
 
 
-def _losses(Y: FunctionalSample, dec, D, tau: float, k_y_max: int, k_x: int) -> list:
-    """``log_loss_norm`` at ``k_y = 1..k_y_max`` on predictor positions ``D``
-    at ``k_x``, from one LP per response score on the shared design."""
+def _losses(Y: FunctionalSample, dec, candidates, tau: float, k_y_max: int) -> list:
+    """Per ``(D, k_x)`` candidate, ``log_loss_norm`` at ``k_y = 1..k_y_max``
+    on predictor positions ``D`` at ``k_x``, or the ``NumericalError`` naming
+    its unsolved response column; all candidates share one stacked solve."""
     (basis, xi), preds = dec
-    design = _design(preds[m][1][:, :k_x] for m in D)
-    coefs = qr_fit_multi(design, xi[:, :k_y_max], tau)
+    designs = [_design(preds[m][1][:, :k_x] for m in D) for D, k_x in candidates]
+    coefs, solved = _fit_stack(designs, [xi[:, :k_y_max]] * len(designs), [tau])
     return [
-        log_loss_norm(Y, FunctionalSample(
-            basis.mean + design @ coefs[:, :k] @ basis.eigenfunctions[:k], Y.grid
-        ), tau)
-        for k in range(1, k_y_max + 1)
+        _column_failure(ok[0]) or [
+            log_loss_norm(Y, FunctionalSample(
+                basis.mean + design @ c[0][:, :k] @ basis.eigenfunctions[:k], Y.grid
+            ), tau)
+            for k in range(1, k_y_max + 1)
+        ]
+        for design, c, ok in zip(designs, coefs, solved)
     ]
 
 
 def bic_truncation(Y: FunctionalSample, X, tau: float, k_y: int, k_x: int) -> float:
     """BIC of an (k_y, k_x) truncation: log-loss norm plus ``(k_y + k_x) ln n``."""
     dec = _decompose(Y, X, k_y, [k_x] * len(X))
-    loss = _losses(Y, dec, range(len(X)), tau, k_y, k_x)[-1]
+    loss = _unwrap(_losses(Y, dec, [(range(len(X)), k_x)], tau, k_y)[0])[-1]
     return loss + (k_y + k_x) * math.log(Y.n)
 
 
 def _search_truncation(Y, dec, D, tau: float, k_y_max: int, k_x_max: int) -> tuple:
-    """Exhaustive truncation search with one LP solve per ``k_x``; a failed
-    solve fails every ``k_y`` at that ``k_x``, with its error as the note."""
-    losses, notes = {}, {}
-    for k_x in range(1, k_x_max + 1):
-        try:
-            losses[k_x] = _losses(Y, dec, D, tau, k_y_max, k_x)
-        except NumericalError as exc:
-            losses[k_x], notes[k_x] = [math.nan] * k_y_max, str(exc)
+    """Exhaustive truncation search with one stacked solve for every ``k_x``;
+    a failed ``k_x`` fails every ``k_y`` there, with its error as the note."""
+    k_xs = range(1, k_x_max + 1)
+    losses = dict(zip(k_xs, _losses(Y, dec, [(D, k_x) for k_x in k_xs], tau, k_y_max)))
+    notes = {k_x: str(v) for k_x, v in losses.items() if isinstance(v, NumericalError)}
+    losses.update((k_x, [math.nan] * k_y_max) for k_x in notes)
     trace = [
         BicTraceEntry("truncation", f"K=({k_y},{k_x})", k_y, k_x,
                       losses[k_x][k_y - 1] + (k_y + k_x) * math.log(Y.n), False,
@@ -144,7 +146,7 @@ def bic_candidate(
     if len(D) != len(X_subset) or len(set(D)) != len(D):
         raise ValueError("one predictor sample per distinct index in D required")
     dec = _decompose(Y, X_subset, k_y, [k_x] * len(D))
-    loss = _losses(Y, dec, range(len(D)), tau, k_y, k_x)[-1]
+    loss = _unwrap(_losses(Y, dec, [(range(len(D)), k_x)], tau, k_y)[0])[-1]
     return loss + len(D) * math.log(Y.n) / (2 * Y.n)
 
 
@@ -211,14 +213,13 @@ def _forward_select(Y, dec, tau, ratio_threshold, fixed_k, k_y_max, k_x_max):
     while remaining:
         stage = f"stage{len(chosen) + 1}"
         results = []
-        for label in remaining:
-            D = chosen + [label]
-            try:
-                loss = _losses(Y, dec, [i - 1 for i in D], tau, fixed_k, fixed_k)[-1]
-            except NumericalError as exc:
-                bic, note = math.nan, str(exc)
+        sets = [chosen + [label] for label in remaining]
+        losses = _losses(Y, dec, [([i - 1 for i in D], fixed_k) for D in sets], tau, fixed_k)
+        for label, D, loss in zip(remaining, sets, losses):
+            if isinstance(loss, NumericalError):
+                bic, note = math.nan, str(loss)
             else:
-                bic, note = loss + len(D) * math.log(n) / (2 * n), ""
+                bic, note = loss[-1] + len(D) * math.log(n) / (2 * n), ""
                 results.append((bic, label, len(trace)))
             name = "{" + ",".join(str(i) for i in D) + "}"
             trace.append(BicTraceEntry(stage, name, fixed_k, fixed_k, bic, False, note))

@@ -205,6 +205,12 @@ class TestQrFitMulti:
         assert isinstance(multi, np.ndarray)
         assert multi.shape == (2, 3)
 
+    def test_no_response_columns(self):
+        rng = np.random.default_rng(54)
+        X = np.column_stack([np.ones(12), rng.normal(size=12)])
+        multi = qr_fit_multi(X, np.empty((12, 0)), 0.5)
+        assert multi.shape == (2, 0)
+
     def test_vector_responses_rejected(self):
         with pytest.raises(ValueError, match=r"\(n, K\)"):
             qr_fit_multi(np.ones((5, 1)), np.ones(5), 0.5)
@@ -276,7 +282,7 @@ def refuse_problem_1(monkeypatch, attempts):
         if M.ndim == 3 and not refused:
             refused["matrix"], refused["left"] = M[1].copy(), attempts
             raise np.linalg.LinAlgError("forced")
-        retry = M.ndim == 2 and refused.get("left")
+        retry = M.ndim == 2 and refused.get("left") and M.shape == refused["matrix"].shape
         if retry and np.allclose(M, refused["matrix"], rtol=1e-6, atol=0):
             refused["left"] -= 1
             raise np.linalg.LinAlgError("forced")
@@ -286,32 +292,69 @@ def refuse_problem_1(monkeypatch, attempts):
     return refused
 
 
+def ragged_stacks(rng, widths=(2, 4, 6), B=4):
+    """One problem stack per design width, and their rows concatenated."""
+    stacks = [random_stack(rng, B=B, q=q) for q in widths]
+    Xs = [X for X, _, _ in stacks]
+    y = np.concatenate([y for _, y, _ in stacks])
+    tau = np.concatenate([tau for _, _, tau in stacks])
+    return Xs, y, tau
+
+
 class TestStackedSolver:
     def test_stack_order_does_not_change_coefficients(self):
         X, y, tau = random_stack(np.random.default_rng(60))
-        coefs, solved = qreg._frisch_newton(X, y, tau)
+        (coefs,), solved = qreg._frisch_newton([X], y, tau)
         assert solved.all()
-        rev, _ = qreg._frisch_newton(X[::-1], y[::-1], tau[::-1])
+        (rev,), _ = qreg._frisch_newton([X[::-1]], y[::-1], tau[::-1])
         np.testing.assert_array_equal(rev[::-1], coefs)
         for b in range(len(X)):
-            alone, _ = qreg._frisch_newton(X[b : b + 1], y[b : b + 1], tau[b : b + 1])
+            (alone,), _ = qreg._frisch_newton([X[b : b + 1]], y[b : b + 1], tau[b : b + 1])
             np.testing.assert_array_equal(alone[0], coefs[b])
+
+    def test_ragged_groups_match_each_group_alone(self):
+        Xs, y, tau = ragged_stacks(np.random.default_rng(64))
+        coefs, solved = qreg._frisch_newton(Xs, y, tau)
+        assert solved.all()
+        assert [c.shape for c in coefs] == [(4, 2), (4, 4), (4, 6)]
+        rows = np.arange(len(y)).reshape(3, 4)
+        rev, _ = qreg._frisch_newton(Xs[::-1], y[rows[::-1].ravel()], tau[rows[::-1].ravel()])
+        for g, X in enumerate(Xs):
+            (alone,), _ = qreg._frisch_newton([X], y[rows[g]], tau[rows[g]])
+            np.testing.assert_array_equal(coefs[g], alone)
+            np.testing.assert_array_equal(rev[2 - g], alone)
+
+    def test_empty_groups_are_skipped(self):
+        # A group with no problems, before and after others, gets no rows.
+        Xs, y, tau = ragged_stacks(np.random.default_rng(65), widths=(3,))
+        want, _ = qreg._frisch_newton(Xs, y, tau)
+        empty = np.empty((0, 50, 2))
+        coefs, solved = qreg._frisch_newton([empty, Xs[0], empty], y, tau)
+        assert solved.all() and coefs[0].shape == coefs[2].shape == (0, 2)
+        np.testing.assert_array_equal(coefs[1], want[0])
+        coefs, solved = qreg._frisch_newton([empty], np.empty((0, 50)), np.empty(0))
+        assert solved.shape == (0,) and coefs[0].shape == (0, 2)
 
     @pytest.mark.parametrize("attempts", [1, 4])
     def test_factorization_failure_stays_with_its_problem(self, monkeypatch, attempts):
         # One refusal is recovered by a jitter retry; four leave problem 1
-        # unsolved. Either way the other problems do not notice.
+        # unsolved. Either way the other problems, in its group and in the
+        # groups after it, do not notice.
         X, y, tau = random_stack(np.random.default_rng(61))
-        want, _ = qreg._frisch_newton(X, y, tau)
+        Xs, y2, tau2 = ragged_stacks(np.random.default_rng(66), widths=(2, 5))
+        Xs, y, tau = [X] + Xs, np.concatenate([y, y2]), np.concatenate([tau, tau2])
+        want, _ = qreg._frisch_newton(Xs, y, tau)
         refused = refuse_problem_1(monkeypatch, attempts)
-        coefs, solved = qreg._frisch_newton(X, y, tau)
+        coefs, solved = qreg._frisch_newton(Xs, y, tau)
         assert refused["left"] == 0
         others = np.arange(len(X)) != 1
-        np.testing.assert_array_equal(coefs[others], want[others])
-        assert solved[others].all()
+        np.testing.assert_array_equal(coefs[0][others], want[0][others])
+        for got, expected in zip(coefs[1:], want[1:]):
+            np.testing.assert_array_equal(got, expected)
+        assert solved[len(X):].all() and solved[: len(X)][others].all()
         if attempts < 4:
             assert solved[1]
-            got = objective_value(X[1], y[1], coefs[1], tau[1])
+            got = objective_value(X[1], y[1], coefs[0][1], tau[1])
             assert got == pytest.approx(linprog_qr(X[1], y[1], tau[1])[0], rel=1e-7, abs=1e-9)
         else:
             assert not solved[1]
@@ -335,30 +378,29 @@ class TestStackedSolver:
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(8, 40),
-    n_designs=st.integers(1, 3),
+    widths=st.lists(st.integers(2, 5), min_size=1, max_size=3),
     taus=st.lists(st.sampled_from([0.01, 0.3, 0.5, 0.99]), min_size=1, max_size=2),
     tied=st.booleans(),
     collinear=st.booleans(),
 )
-def test_stack_is_optimal_for_every_problem(seed, n, n_designs, taus, tied, collinear):
-    # Each design has its own columns; with `collinear`, the first design
-    # drops a column and is solved apart from the others.
+def test_stack_is_optimal_for_every_problem(seed, n, widths, taus, tied, collinear):
+    # Each design draws its own width and columns; with `collinear`, the
+    # first design's last column depends on the others and is dropped.
     rng = np.random.default_rng(seed)
-    designs = np.concatenate(
-        [np.ones((n_designs, n, 1)), rng.normal(size=(n_designs, n, 3))], axis=2
-    )
+    designs = [np.column_stack([np.ones(n), rng.normal(size=(n, q - 1))]) for q in widths]
     if collinear:
-        designs[0, :, 3] = designs[0, :, 1] - 2.0 * designs[0, :, 2]
-    Y = designs @ rng.normal(size=(n_designs, 4, 2)) + rng.standard_t(3, size=(n_designs, n, 2))
+        designs[0][:, -1] = designs[0][:, :-1] @ rng.normal(size=widths[0] - 1)
+    Y = [d @ rng.normal(size=(d.shape[1], 2)) + rng.standard_t(3, size=(n, 2)) for d in designs]
     if tied:
-        Y = np.round(Y)
+        Y = [np.round(y) for y in Y]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
         coefs, solved = qreg._fit_stack(designs, Y, taus)
     assert solved.all()
-    for g in range(n_designs):
+    for g, design in enumerate(designs):
+        assert coefs[g].shape == (len(taus), widths[g], 2)
         for t, tau in enumerate(taus):
-            obj = qr_objective(designs[g], Y[g], coefs[g, t], tau)
+            obj = qr_objective(design, Y[g], coefs[g][t], tau)
             for k in range(2):
-                want, _ = linprog_qr(designs[g], Y[g, :, k], tau)
+                want, _ = linprog_qr(design, Y[g][:, k], tau)
                 assert obj[k] == pytest.approx(want, rel=1e-7, abs=1e-9)

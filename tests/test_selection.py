@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fflqr import selection
+from fflqr import qreg, selection
 from fflqr.errors import NumericalError
 from fflqr.fdata import FunctionalSample, make_uniform_grid
 from fflqr.model import fit_fflqr, predict
@@ -257,23 +257,33 @@ class TestTruncationNesting:
             assert e.bic == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
+UNSOLVED_NOTE = (
+    "response column 0: interior point did not converge in 200 iterations "
+    "or could not factor its normal equations"
+)
+
+
 class TestSolveFailures:
     @staticmethod
     def failing_at(width):
-        real = selection.qr_fit_multi
+        """A stand-in for the stacked solver that marks every problem of the
+        designs with ``width`` columns (of all designs, for None) unsolved."""
+        real = selection._fit_stack
 
-        def solve(design, responses, tau):
-            if width is None or design.shape[1] == width:
-                raise NumericalError(f"no convergence at width {design.shape[1]}")
-            return real(design, responses, tau)
+        def fit_stack(designs, responses, taus):
+            coefs, solved = real(designs, responses, taus)
+            for g, design in enumerate(designs):
+                if width is None or design.shape[1] == width:
+                    solved[g] = False
+            return coefs, solved
 
-        return solve
+        return fit_stack
 
     def test_failed_solve_fails_its_k_x(self, monkeypatch):
         rng = np.random.default_rng(30)
         Y, xs = noisy_pair(rng)
         # two predictors at k_x = 2 give a 1 + 2 * 2 column design
-        monkeypatch.setattr(selection, "qr_fit_multi", self.failing_at(5))
+        monkeypatch.setattr(selection, "_fit_stack", self.failing_at(5))
         k_y, k_x, trace = select_truncation(Y, xs, 0.5, 3, 3)
         assert [(e.k_y, e.k_x) for e in trace] == [
             (ky, kx) for ky in (1, 2, 3) for kx in (1, 2, 3)
@@ -281,7 +291,7 @@ class TestSolveFailures:
         for e in trace:
             if e.k_x == 2:
                 assert math.isnan(e.bic) and not e.accepted
-                assert e.note == "no convergence at width 5"
+                assert e.note == UNSOLVED_NOTE
             else:
                 assert math.isfinite(e.bic) and e.note == ""
         rest = [e for e in trace if e.k_x != 2]
@@ -293,22 +303,51 @@ class TestSolveFailures:
         rng = np.random.default_rng(31)
         Y, xs = noisy_pair(rng, m=3)
         # every two-predictor candidate at K = 2 has 5 design columns
-        monkeypatch.setattr(selection, "qr_fit_multi", self.failing_at(5))
+        monkeypatch.setattr(selection, "_fit_stack", self.failing_at(5))
         res = forward_select(Y, xs, 0.5, k_y_max=3, k_x_max=3)
         stage2 = [e for e in res.bic_trace if e.stage == "stage2"]
         assert len(stage2) == 2
         assert all(math.isnan(e.bic) and not e.accepted for e in stage2)
-        assert all(e.note == "no convergence at width 5" for e in stage2)
+        assert all(e.note == UNSOLVED_NOTE for e in stage2)
         assert len(res.chosen_predictors) == 1
 
     def test_every_solve_failing_raises(self, monkeypatch):
         rng = np.random.default_rng(32)
         Y, xs = noisy_pair(rng)
-        monkeypatch.setattr(selection, "qr_fit_multi", self.failing_at(None))
+        monkeypatch.setattr(selection, "_fit_stack", self.failing_at(None))
         with pytest.raises(NumericalError, match="every truncation candidate failed to fit"):
             select_truncation(Y, xs, 0.5, 2, 2)
         with pytest.raises(NumericalError, match="no predictor candidate could be fit"):
             forward_select(Y, xs, 0.5)
+
+
+class TestStackedCalls:
+    @staticmethod
+    def count_core_calls(monkeypatch):
+        real = qreg._frisch_newton
+        calls = []
+
+        def frisch_newton(Xs, y, tau):
+            calls.append([X.shape for X in Xs])
+            return real(Xs, y, tau)
+
+        monkeypatch.setattr(qreg, "_frisch_newton", frisch_newton)
+        return calls
+
+    def test_truncation_search_is_one_core_call(self, monkeypatch):
+        Y, xs = noisy_pair(np.random.default_rng(35))
+        calls = self.count_core_calls(monkeypatch)
+        select_truncation(Y, xs, 0.5, k_y_max=3, k_x_max=3)
+        assert len(calls) == 1
+        # one group per k_x: 1 + 2 k_x design columns, one problem per k_y
+        assert calls[0] == [(3, Y.n, 3), (3, Y.n, 5), (3, Y.n, 7)]
+
+    def test_one_core_call_per_forward_stage(self, monkeypatch):
+        Y, xs = noisy_pair(np.random.default_rng(36), m=3)
+        calls = self.count_core_calls(monkeypatch)
+        res = forward_select(Y, xs, 0.5, k_y_max=3, k_x_max=3)
+        stages = {e.stage for e in res.bic_trace if e.stage != "truncation"}
+        assert len(calls) == len(stages) + 1
 
 
 class TestInputContract:
