@@ -56,11 +56,13 @@ class Grid:
         object.__setattr__(self, "weights", weights)
         if points.ndim != 1 or points.size < 2:
             raise ValueError("grid needs at least two points")
+        if not np.all(np.isfinite(points)):
+            raise ValueError("grid points must be finite")
         if not np.all(np.diff(points) > 0):
             raise ValueError("grid points must be strictly increasing")
         if weights.shape != points.shape:
             raise ValueError("weights must match points in shape")
-        if np.any(weights < 0):
+        if not np.all(weights >= 0):
             raise ValueError("quadrature weights must be nonnegative")
         length = points[-1] - points[0]
         if abs(weights.sum() - length) > 1e-12 * max(1.0, length):
@@ -70,7 +72,7 @@ class Grid:
     def from_points(cls, points) -> "Grid":
         """Build a grid with trapezoidal weights from the points alone."""
         points = np.asarray(points, dtype=float)
-        usable = points.ndim == 1 and points.size >= 2
+        usable = points.ndim == 1 and points.size >= 2 and np.all(np.isfinite(points))
         return cls(points, _trapezoid_weights(points) if usable else points)
 
     @property
@@ -170,33 +172,47 @@ def center(sample: FunctionalSample) -> tuple[FunctionalSample, np.ndarray]:
     return FunctionalSample(sample.values - mean, sample.grid), mean
 
 
+# numpy strips these around a field, float() rejects them; as "?" both reject them.
+_SEPARATORS = str.maketrans(dict.fromkeys("\x1c\x1d\x1e\x1f", "?"))
+
+
+def _line_error(lines) -> str | None:
+    """The first of ``(lineno, line)`` that numpy cannot parse alone, else the
+    first whose field count differs from the grid line's."""
+    for lineno, line in lines:
+        try:
+            np.loadtxt([line], delimiter=",", comments=None)
+        except ValueError:
+            return f"line {lineno}: non-numeric entry"
+    width = lines[0][1].count(",") + 1
+    for lineno, line in lines[1:]:
+        if line.count(",") + 1 != width:
+            return f"line {lineno} has {line.count(',') + 1} fields, expected {width}"
+    return None
+
+
 def read_sample_csv(path) -> FunctionalSample:
     """Read a functional sample from wide CSV.
 
     The first line holds the comma-separated grid points; each following
-    line holds one curve. Blank lines are skipped, and errors name the line
-    of the file. Ragged rows are rejected.
+    line holds one curve. numpy's parser reads the values, so Python-only
+    spellings such as ``1_0`` are rejected. Blank and whitespace-only lines
+    are skipped, and errors name the line of the file. Ragged rows and
+    non-finite grid points are rejected.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [(i, s.strip()) for i, s in enumerate(fh, start=1) if s.strip()]
+        text = fh.read()
+    lines = [(i, s.strip()) for i, s in enumerate(text.split("\n"), 1) if s.strip()]
+    if any(chr(c) in text for c in _SEPARATORS):
+        lines = [(i, s.translate(_SEPARATORS)) for i, s in lines]
     if len(lines) < 2:
         raise DataError(f"{path}: need a grid line and at least one curve line")
-    rows = []
-    for lineno, line in lines:
-        try:
-            row = [float(tok) for tok in line.split(",")]
-        except ValueError as exc:
-            raise DataError(f"{path}: line {lineno}: non-numeric entry") from exc
-        rows.append(row)
-    width = len(rows[0])
-    for (lineno, _), row in zip(lines[1:], rows[1:]):
-        if len(row) != width:
-            raise DataError(
-                f"{path}: line {lineno} has {len(row)} fields, expected {width}"
-            )
     try:
-        grid = Grid.from_points(np.array(rows[0]))
-        return FunctionalSample(np.array(rows[1:]), grid)
+        table = np.loadtxt([s for _, s in lines], delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise DataError(f"{path}: {_line_error(lines) or exc}") from exc
+    try:
+        return FunctionalSample(table[1:], Grid.from_points(table[0]))
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 

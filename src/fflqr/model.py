@@ -118,10 +118,10 @@ class CoefficientSurface:
 def _validate_samples(Y: FunctionalSample, X) -> None:
     if len(X) < 1:
         raise ValueError("need at least one predictor sample")
-    for m, x in enumerate(X):
+    for m, x in enumerate(X, start=1):
         if x.n != Y.n:
             raise ValueError(
-                f"predictor {m} has {x.n} curves but the response has {Y.n}"
+                f"predictor sample {m} has {x.n} curves but the response has {Y.n}"
             )
 
 
@@ -302,12 +302,18 @@ def fit_bspline_ls(
     return BsplineLsFit(theta, Y.grid, grids, n_basis, order, indices)
 
 
+def _check_predictors(X, count: int) -> None:
+    """New predictor samples must be ``count`` samples of one curve count."""
+    if len(X) != count:
+        raise ValueError(f"model uses {count} predictors, got {len(X)}")
+    for m, x in enumerate(X[1:], start=2):
+        if x.n != X[0].n:
+            raise ValueError(f"predictor sample {m} has {x.n} curves, sample 1 has {X[0].n}")
+
+
 def _projected_design(fit: FflqrFit, X) -> np.ndarray:
     """Intercept-plus-scores design of curves projected on the fitted bases."""
-    if len(X) != len(fit.predictor_bases):
-        raise ValueError(
-            f"model uses {len(fit.predictor_bases)} predictors, got {len(X)}"
-        )
+    _check_predictors(X, len(fit.predictor_bases))
     return _design(project_scores(b, x) for b, x in zip(fit.predictor_bases, X))
 
 
@@ -317,10 +323,7 @@ def _predict_scores(fit: FflqrFit, X_new) -> FunctionalSample:
 
 
 def _predict_bspline(fit: BsplineLsFit, X_new) -> FunctionalSample:
-    if len(X_new) != len(fit.predictor_grids):
-        raise ValueError(
-            f"model uses {len(fit.predictor_grids)} predictors, got {len(X_new)}"
-        )
+    _check_predictors(X_new, len(fit.predictor_grids))
     design = _bspline_design(X_new, fit.predictor_grids, fit.n_basis, fit.order)
     d_hat = design @ fit.theta
     g = fit.response_grid

@@ -213,6 +213,19 @@ class TestPredict:
         ])
         assert code == 3
 
+    def test_short_predictor_file_is_named(self, tmp_path, capsys):
+        sim = simulate(tmp_path)
+        fitted = fit_dir(tmp_path, sim)
+        short = tmp_path / "X4_short.csv"
+        short.write_text("".join((sim / "X4_test.csv").read_text().splitlines(True)[:4]))
+        code = main([
+            "predict", "--model", str(fitted / "model.json"),
+            "--x", str(sim / "X2_test.csv"), str(short),
+            "--out", str(tmp_path / "p"),
+        ])
+        assert code == 3
+        assert "predictor sample 2 has 3 curves, sample 1 has 10" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["predict", "interval"])
     @pytest.mark.parametrize("corrupt", [
         lambda doc: json.dumps(doc)[:-20],
@@ -438,3 +451,17 @@ class TestBadValueExitCodes:
             cfg = write_config(tmp_path)
             args = ["--config", str(cfg), "--methods", "fflqr", "--models", "true"]
         assert main([command, *args, *flags, "--out", str(tmp_path / "o")]) == code
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_grid_exits_3(self, tmp_path, capsys):
+        sim = simulate(tmp_path)
+        y = tmp_path / "Y_inf.csv"
+        _, *curves = (sim / "Y_train.csv").read_text().splitlines(True)
+        grid = ",".join([*(str(j / 23) for j in range(24)), "inf"])
+        y.write_text(grid + "\n" + "".join(curves))
+        code = main([
+            "fit", "--y", str(y), "--x", str(sim / "X2_train.csv"),
+            "--ky", "2", "--kx", "2", "--out", str(tmp_path / "f"),
+        ])
+        assert code == 3
+        assert "grid points must be finite" in capsys.readouterr().err

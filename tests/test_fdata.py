@@ -49,6 +49,20 @@ class TestGrid:
         with pytest.raises(ValueError, match="at least two"):
             Grid.from_points(np.array([0.3]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("points", [
+        [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0], [0.0, np.nan, 1.0],
+    ], ids=["inf", "minus-inf", "nan"])
+    def test_non_finite_points_raise(self, points):
+        with pytest.raises(ValueError, match="finite"):
+            Grid.from_points(points)
+        with pytest.raises(ValueError, match="finite"):
+            Grid(np.array(points), np.array([0.5, 0.5, 0.0]))
+
+    def test_nan_weights_raise(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Grid(np.array([0.0, 1.0]), np.array([np.nan, np.nan]))
+
     def test_negative_weights_raise(self):
         with pytest.raises(ValueError, match="nonnegative"):
             Grid(np.array([0.0, 1.0]), np.array([1.5, -0.5]))
@@ -157,7 +171,9 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("text, line", [
         ("0.0,0.5,1.0\n1.0,2.0,3.0\n1.0,2.0\n", 3),
         ("0.0,0.5,1.0\n\n\n1.0,2.0\n", 4),
-    ], ids=["no-blank-lines", "after-blank-lines"])
+        ("0.0,0.5,1.0\n \t\n1.0,2.0\n", 3),
+        ("0.0,0.5,1.0\r\n1.0,2.0,3.0\r\n\r\n1.0,2.0\r\n", 4),
+    ], ids=["no-blank-lines", "after-blank-lines", "after-whitespace-line", "crlf"])
     def test_ragged_row_raises(self, tmp_path, text, line):
         path = tmp_path / "s.csv"
         path.write_text(text)
@@ -167,11 +183,27 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("text, line", [
         ("0.0,0.5,1.0\n1.0,oops,3.0\n", 2),
         ("0.0,0.5,1.0\n\n1.0,2.0,3.0\n1.0,oops,3.0\n", 4),
-    ], ids=["no-blank-lines", "after-blank-lines"])
+        ("0.0,0.5,1.0\n  \t \n1.0,oops,3.0\n", 3),
+        ("0.0,0.5,1.0\r\n1.0,2.0,3.0\r\n\r\n1.0,oops,3.0\r\n", 4),
+        ("0.0,0.5,1.0\n1.0,2.0,3.0 # c\n", 2),
+        ("0.0,0.5,1.0\n1_0,2.0,3.0\n", 2),
+        ("0.0,0.5,1.0\n1.0,2.0\x1c,3.0\n", 2),
+        ("0.0,0.5,1.0\n1.0,2.0\n1.0,oops,3.0\n", 3),
+    ], ids=[
+        "no-blank-lines", "after-blank-lines", "after-whitespace-line", "crlf",
+        "trailing-comment", "underscore-digits", "separator-char", "after-ragged-row",
+    ])
     def test_non_numeric_raises_with_line(self, tmp_path, text, line):
         path = tmp_path / "s.csv"
         path.write_text(text)
         with pytest.raises(DataError, match=f"line {line}: non-numeric"):
+            read_sample_csv(path)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_grid_raises(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("0.0,0.5,inf\n1.0,2.0,3.0\n")
+        with pytest.raises(DataError, match="grid points must be finite"):
             read_sample_csv(path)
 
     def test_bad_grid_wrapped_as_data_error(self, tmp_path):
@@ -204,3 +236,75 @@ def test_csv_round_trip_property(points, n, data):
     assert back.values.tobytes() == sample.values.tobytes()
     assert back.grid.points.tobytes() == sample.grid.points.tobytes()
     np.testing.assert_array_equal(back.grid.weights, sample.grid.weights)
+
+
+def reference_read(text: str):
+    """Plain-Python oracle of ``read_sample_csv``: one ``float()`` per token.
+
+    Returns the sample, or the error message without its path prefix.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = [(i, s.strip()) for i, s in enumerate(lines, start=1) if s.strip()]
+    if len(lines) < 2:
+        return "need a grid line and at least one curve line"
+    rows = []
+    for lineno, line in lines:
+        try:
+            rows.append([float(tok) for tok in line.split(",")])
+        except ValueError:
+            return f"line {lineno}: non-numeric entry"
+    for (lineno, _), row in zip(lines[1:], rows[1:]):
+        if len(row) != len(rows[0]):
+            return f"line {lineno} has {len(row)} fields, expected {len(rows[0])}"
+    try:
+        return FunctionalSample(np.array(rows[1:]), Grid.from_points(np.array(rows[0])))
+    except ValueError as exc:
+        return str(exc)
+
+
+_value = st.floats(-1e300, 1e300, allow_subnormal=True)
+_good = st.one_of(
+    _value.map(repr), _value.map(lambda v: f"{v:.3e}"), st.integers(-9, 9).map(str)
+)
+_bad = st.sampled_from(["inf", "-nan", "oops", "", "1 2", "1.0 # c", "1e"])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    grid=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=5, unique=True),
+    data=st.data(),
+)
+def test_reader_matches_float_reference(grid, data):
+    # Rows are good, hold one bad token or a separator after a number, or
+    # are one field short or long; lines end in \n or \r\n and may follow
+    # blank or whitespace-only lines.
+    if data.draw(st.sampled_from([True] * 4 + [False])):
+        grid = sorted(grid)
+    lines = [",".join(map(repr, grid))]
+    for _ in range(data.draw(st.integers(1, 4))):
+        kinds = ["good"] * 3 + ["bad", "short", "long", "separator"]
+        kind = data.draw(st.sampled_from(kinds))
+        k = len(grid) + {"short": -1, "long": 1}.get(kind, 0)
+        row = [data.draw(_good) for _ in range(k)]
+        if kind in ("bad", "separator"):
+            j = data.draw(st.integers(0, k - 1))
+            row[j] = data.draw(_bad) if kind == "bad" else row[j] + "\x1c"
+        pad = st.sampled_from(["", "", " ", "\t"])
+        edge = data.draw(st.sampled_from(["", "", "\x1c"]))
+        lines.append(edge + ",".join(data.draw(pad) + tok + data.draw(pad) for tok in row))
+    blanks = st.lists(st.sampled_from(["", " ", "\t \x1c"]), max_size=2)
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    text = "".join(newline.join(data.draw(blanks) + [line]) + newline for line in lines)
+    expected = reference_read(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sample.csv"
+        path.write_bytes(text.encode())
+        try:
+            got = read_sample_csv(path)
+        except DataError as exc:
+            assert str(exc) == f"{path}: {expected}"
+            return
+    assert not isinstance(expected, str), expected
+    assert got.values.tobytes() == expected.values.tobytes()
+    assert got.grid.points.tobytes() == expected.grid.points.tobytes()
+    assert got.grid.weights.tobytes() == expected.grid.weights.tobytes()

@@ -117,6 +117,16 @@ class TestFitFflqr:
             prev = total
 
 
+    def test_predictor_curve_count_mismatch_raises(self):
+        rng = np.random.default_rng(24)
+        g = make_uniform_grid(20, 0.0, 1.0)
+        x, short = smooth_predictors(rng, 30, g, m=2)
+        Y = FunctionalSample(rng.normal(size=(30, 20)), g)
+        msg = "predictor sample 2 has 3 curves but the response has 30"
+        with pytest.raises(ValueError, match=msg):
+            fit_fflqr(Y, [x, FunctionalSample(short.values[:3], g)], 0.5, 2, 2)
+
+
 class TestPredict:
     def test_training_inputs_reproduce_fitted_curves(self):
         rng = np.random.default_rng(6)
@@ -147,6 +157,16 @@ class TestPredict:
         fit = fit_fflqr(Y, [x], 0.5, 2, 2)
         with pytest.raises(ValueError, match="predictor"):
             predict(fit, [x, x])
+
+    def test_predictor_curve_count_mismatch_raises(self):
+        rng = np.random.default_rng(8)
+        g = make_uniform_grid(20, 0.0, 1.0)
+        xs = smooth_predictors(rng, 30, g, m=2)
+        fit = fit_fflqr(FunctionalSample(rng.normal(size=(30, 20)), g), xs, 0.5, 2, 2)
+        short = FunctionalSample(xs[1].values[:3], g)
+        msg = "predictor sample 2 has 3 curves, sample 1 has 30"
+        with pytest.raises(ValueError, match=msg):
+            predict(fit, [xs[0], short])
 
     def test_grid_mismatch_raises(self):
         rng = np.random.default_rng(9)
@@ -284,6 +304,15 @@ class TestBsplineLs:
         Y = FunctionalSample(rng.normal(size=(20, 30)), g)
         with pytest.raises(ValueError, match="n_basis exceeds the number of predictor"):
             fit_bspline_ls(Y, [x], n_basis=10)
+
+    def test_predictor_curve_count_mismatch_raises(self):
+        rng = np.random.default_rng(23)
+        g = make_uniform_grid(25, 0.0, 1.0)
+        xs = smooth_predictors(rng, 30, g, m=2)
+        fit = fit_bspline_ls(FunctionalSample(rng.normal(size=(30, 25)), g), xs, n_basis=8)
+        msg = "predictor sample 2 has 4 curves, sample 1 has 30"
+        with pytest.raises(ValueError, match=msg):
+            predict(fit, [xs[0], FunctionalSample(xs[1].values[:4], g)])
 
     def test_predict_on_other_grid_raises(self):
         rng = np.random.default_rng(22)
