@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .fdata import FunctionalSample, Grid, write_sample_csv
-from .model import _decompose, _fit_scores, _unwrap, fit_bspline_ls, predict
+from .model import _fit_for, _unwrap, predict
 
 __all__ = [
     "PredictionBand",
@@ -89,31 +89,6 @@ def mspe(Y_true: FunctionalSample, Y_pred: FunctionalSample) -> float:
     return float(np.mean(sq @ Y_true.grid.weights))
 
 
-def _fit_for(method, samples, tau, k_y, k_x, predictor_indices=None, decs=None) -> list:
-    """Fit one of the three estimators by name to each ``(Y, X)`` pair that
-    ``samples`` yields; the only method dispatch.
-
-    Returns one entry per sample: its fit, or the ``NumericalError`` that
-    stopped it. The score-space methods decompose each sample once at
-    ``(k_y, k_x)``, unless ``decs`` yields those decompositions already, and
-    solve the check-loss problems of all samples in one stacked call.
-    """
-    if method in ("fflqr", "fpc-ls"):
-        if decs is None:
-            decs = (_decompose(Y, X, k_y, [k_x] * len(X)) for Y, X in samples)
-        level = tau if method == "fflqr" else 0.5
-        return [fit for (fit,) in _fit_scores(decs, [level], predictor_indices, method)]
-    if method == "bspline-ls":
-        fits = []
-        for Y, X in samples:
-            try:
-                fits.append(fit_bspline_ls(Y, X, predictor_indices=predictor_indices))
-            except NumericalError as exc:
-                fits.append(exc)
-        return fits
-    raise ValueError(f"unknown method {method!r}")
-
-
 def bootstrap_band(
     Y_train: FunctionalSample,
     X_train,
@@ -159,7 +134,7 @@ def bootstrap_band(
                 [FunctionalSample(x.values[rows], x.grid) for x in X_train],
             )
 
-    fits = _fit_for(method, resamples(), tau, k_y, k_x)
+    fits = [fit for (fit,) in _fit_for(method, resamples(), [tau], k_y, k_x)]
     preds = [
         predict(fit, X_test).values for fit in fits if not isinstance(fit, NumericalError)
     ]
@@ -184,18 +159,24 @@ def direct_band(
     """Band from two quantile fits at levels ``alpha/2`` and ``1 - alpha/2``.
 
     Both levels share one decomposition of the training curves and one
-    stacked solve. Pointwise crossings (lower fit above upper fit) are
-    swapped and their frequency reported on the band.
+    stacked solve; the band is built by ``_paired_band``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
-    dec = _decompose(Y_train, X_train, k_y, [k_x] * len(X_train))
-    (fits,) = _fit_scores([dec], [alpha / 2.0, 1.0 - alpha / 2.0], None, "fflqr")
+    (fits,) = _fit_for("fflqr", [(Y_train, X_train)], [alpha / 2, 1 - alpha / 2], k_y, k_x)
+    return _paired_band(fits, X_test, alpha, Y_train.grid)
+
+
+def _paired_band(fits, X_test, alpha: float, grid: Grid) -> PredictionBand:
+    """Band between the predictions of a lower and an upper quantile fit.
+
+    Pointwise crossings (lower fit above upper fit) are swapped and their
+    frequency reported on the band.
+    """
     lower, upper = (predict(_unwrap(fit), X_test).values for fit in fits)
-    crossed = lower > upper
-    rate = float(np.mean(crossed))
+    rate = float(np.mean(lower > upper))
     lower, upper = np.minimum(lower, upper), np.maximum(lower, upper)
-    return PredictionBand(lower, upper, alpha, Y_train.grid, rate)
+    return PredictionBand(lower, upper, alpha, grid, rate)
 
 
 def _check_band_shapes(band: PredictionBand, Y_true: FunctionalSample) -> None:

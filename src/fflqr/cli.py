@@ -76,6 +76,8 @@ def _load_config(args) -> SimConfig:
                 loaded = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {args.config} is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
@@ -268,9 +270,14 @@ def cmd_benchmark(args) -> int:
     out = _out_dir(args.out)
     methods = args.methods.split(",") if args.methods else list(ALL_METHODS)
     models = args.models.split(",") if args.models else list(ALL_MODELS)
-    reports = run_monte_carlo(
-        config, methods, models, alpha=args.alpha, n_threads=args.threads
-    )
+    # A selected model's designs depend on the data; one wider than the
+    # training sample surfaces as ValueError from the fitting layers.
+    try:
+        reports = run_monte_carlo(
+            config, methods, models, alpha=args.alpha, n_threads=args.threads
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     done = {r.replicate for r in reports}
     failed = [r for r in range(config.n_replicates) if r not in done]
     write_results_csv(reports, out / "results.csv")

@@ -198,10 +198,13 @@ def read_sample_csv(path) -> FunctionalSample:
     line holds one curve. numpy's parser reads the values, so Python-only
     spellings such as ``1_0`` are rejected. Blank and whitespace-only lines
     are skipped, and errors name the line of the file. Ragged rows and
-    non-finite grid points are rejected.
+    non-finite grid points are rejected, as is a file that is not UTF-8.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
     lines = [(i, s.strip()) for i, s in enumerate(text.split("\n"), 1) if s.strip()]
     if any(chr(c) in text for c in _SEPARATORS):
         lines = [(i, s.translate(_SEPARATORS)) for i, s in lines]

@@ -150,15 +150,30 @@ def _design(blocks) -> np.ndarray:
     return np.hstack([np.ones((blocks[0].shape[0], 1))] + blocks)
 
 
-def _fit_scores(decs, taus, predictor_indices, method) -> list:
-    """Score-space fits of ``fit_fflqr`` (check loss) or ``fit_fpc_ls``.
+def _fit_for(method, samples, taus, k_y, k_x, predictor_indices=None, decs=None) -> list:
+    """Fit one of the three estimators by name to each ``(Y, X)`` pair of
+    ``samples`` at each level of ``taus``; the only method dispatch.
 
-    ``decs`` yields ``_decompose`` outputs; their component counts are the
-    fits' truncations. ``fits[i][j]`` fits the i-th of them at ``taus[j]``.
-    The check-loss problems of every sample, level and response score are
-    solved in one stacked call. A fit whose problem was not solved is the
-    ``NumericalError`` naming its response column.
+    ``fits[i][j]`` fits sample i at ``taus[j]``, or is the ``NumericalError``
+    that stopped it. Score methods decompose each sample at ``(k_y, k_x)``
+    unless ``decs`` yields their ``_decompose`` outputs (whose widths then set
+    the truncations), and solve every sample, level and response score in one
+    stacked call. Least squares methods fit each sample once, whatever the
+    level; ``fpc-ls`` fits carry the label 0.5.
     """
+    if method == "bspline-ls":
+        fits = []
+        for Y, X in samples:
+            try:
+                fit = fit_bspline_ls(Y, X, predictor_indices=predictor_indices)
+            except NumericalError as exc:
+                fit = exc
+            fits.append([fit] * len(taus))
+        return fits
+    if method not in ("fflqr", "fpc-ls"):
+        raise ValueError(f"unknown method {method!r}")
+    if decs is None:
+        decs = (_decompose(Y, X, k_y, [k_x] * len(X)) for Y, X in samples)
     decs = list(decs)
     indices = _resolve_indices(decs[0][1], predictor_indices)
     designs = np.stack([_design(zeta for _, zeta in preds) for _, preds in decs])
@@ -166,6 +181,7 @@ def _fit_scores(decs, taus, predictor_indices, method) -> list:
     if method == "fflqr":
         coefs, solved = _fit_stack(designs, xis, taus)
     else:
+        taus = [0.5] * len(taus)
         coefs = np.stack([[_ls_solve(d, xi)] * len(taus) for d, xi in zip(designs, xis)])
         solved = np.ones(coefs.shape[:2] + coefs.shape[3:], dtype=bool)
     fits = []
@@ -213,8 +229,7 @@ def fit_fflqr(
     -------
     FflqrFit
     """
-    dec = _decompose(Y, X, k_y, [k_x] * len(X))
-    return _unwrap(_fit_scores([dec], [tau], predictor_indices, "fflqr")[0][0])
+    return _unwrap(_fit_for("fflqr", [(Y, X)], [tau], k_y, k_x, predictor_indices)[0][0])
 
 
 def fit_fpc_ls(
@@ -225,8 +240,7 @@ def fit_fpc_ls(
     predictor_indices=None,
 ) -> FflqrFit:
     """Least squares counterpart of ``fit_fflqr`` on the same score design."""
-    dec = _decompose(Y, X, k_y, [k_x] * len(X))
-    return _unwrap(_fit_scores([dec], [0.5], predictor_indices, "fpc-ls")[0][0])
+    return _unwrap(_fit_for("fpc-ls", [(Y, X)], [0.5], k_y, k_x, predictor_indices)[0][0])
 
 
 def _ls_solve(design: np.ndarray, responses: np.ndarray) -> np.ndarray:

@@ -15,13 +15,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bands import (
-    MetricsReport, _fit_for, bootstrap_band, cpd, direct_band, interval_score, mspe,
-)
+from .bands import MetricsReport, _paired_band, bootstrap_band, cpd, interval_score, mspe
 from .errors import ConfigError, NumericalError
 from .fdata import FunctionalSample, Grid, make_uniform_grid
 from .fpca import _leading
-from .model import CoefficientSurface, _decompose, _unwrap, predict
+from .model import CoefficientSurface, _decompose, _fit_for, _unwrap, predict
 from .selection import _forward_select, _search_truncation
 
 __all__ = [
@@ -383,6 +381,10 @@ def _model_spec(config: SimConfig, data: SimData, dec, model: str) -> tuple:
 def _replicate_reports(
     config: SimConfig, replicate: int, child, methods, models, alpha
 ) -> list:
+    """The reports of one replicate. Each training sample is decomposed once;
+    every model's selection and fits slice that decomposition, and with
+    ``alpha`` the paired band's two levels share the check-loss point fit's
+    stacked solve. Only bootstrap refits decompose (their resamples)."""
     data_ss, boot_ss = child.spawn(2)
     data = generate_dataset(config, data_ss)
     scenario = config.label()
@@ -403,10 +405,12 @@ def _replicate_reports(
         for method in ALL_METHODS:
             if method not in methods:
                 continue
-            fit = _unwrap(_fit_for(
-                method, [(data.Y_train, X_tr)], config.tau, k_y, k_x, D, [model_dec]
-            )[0])
-            err = mspe(data.Y_test_signal, predict(fit, X_te))
+            paired = method == "fflqr" and alpha is not None
+            taus = [config.tau] + ([alpha / 2.0, 1.0 - alpha / 2.0] if paired else [])
+            (fits,) = _fit_for(
+                method, [(data.Y_train, X_tr)], taus, k_y, k_x, D, [model_dec]
+            )
+            err = mspe(data.Y_test_signal, predict(_unwrap(fits[0]), X_te))
             band_cpd = band_score = None
             slot = ALL_MODELS.index(model) * (len(ALL_METHODS) + 1) + ALL_METHODS.index(method)
             if alpha is not None:
@@ -430,8 +434,8 @@ def _replicate_reports(
                     replicate, config.master_seed,
                 )
             )
-            if method == "fflqr" and alpha is not None:
-                dband = direct_band(data.Y_train, X_tr, X_te, alpha, k_y, k_x)
+            if paired:
+                dband = _paired_band(fits[1:], X_te, alpha, data.Y_train.grid)
                 reports.append(
                     MetricsReport(
                         err,
@@ -462,7 +466,9 @@ def run_monte_carlo(
     Parameters
     ----------
     config : SimConfig
-        Its truncations must not exceed min(n_train - 1, n_grid) (``ConfigError``).
+        Its truncations must not exceed min(n_train - 1, n_grid), and a
+        requested full or true model's widest design, ``1 + |D| k_x_max``
+        columns, must not exceed n_train (``ConfigError`` otherwise).
     methods : iterable of str
         Subset of {"fflqr", "fpc-ls", "bspline-ls"}.
     models : iterable of str
@@ -498,6 +504,13 @@ def run_monte_carlo(
         raise ConfigError(
             f"fixed_k, k_y_max and k_x_max must not exceed min(n_train - 1, n_grid) = {k_cap}"
         )
+    for model, width in (("full", config.M), ("true", len(config.significant))):
+        columns = 1 + width * config.k_x_max
+        if model in models and columns > config.n_train:
+            raise ConfigError(
+                f"the {model} model's truncation search needs {columns} design "
+                f"columns at k_x_max = {config.k_x_max}, more than n_train = {config.n_train}"
+            )
 
     children = np.random.SeedSequence(config.master_seed).spawn(config.n_replicates)
 

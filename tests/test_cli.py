@@ -452,6 +452,37 @@ class TestBadValueExitCodes:
             args = ["--config", str(cfg), "--methods", "fflqr", "--models", "true"]
         assert main([command, *args, *flags, "--out", str(tmp_path / "o")]) == code
 
+    def test_non_utf8_curve_csv_exits_3(self, tmp_path, capsys):
+        y = tmp_path / "y.csv"
+        y.write_bytes(b"0,0.5,1\n1,2,\xff\n")
+        code = main([
+            "fit", "--y", str(y), "--x", str(y), "--ky", "1", "--kx", "1",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert "y.csv: not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b'{"n_train": 30}\xff')
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "c.json is not UTF-8" in capsys.readouterr().err
+
+    def test_benchmark_design_wider_than_sample_exits_2(self, tmp_path, capsys):
+        # The full model's widest design has 1 + 5 * 5 = 26 columns.
+        code = main(["benchmark", "--n-train", "20", "--out", str(tmp_path / "b")])
+        assert code == 2
+        assert "26 design columns" in capsys.readouterr().err
+
+    def test_benchmark_value_error_exits_2(self, tmp_path, monkeypatch):
+        def too_wide(*args, **kwargs):
+            raise ValueError("need at least as many rows as columns (10 < 13)")
+
+        monkeypatch.setattr("fflqr.cli.run_monte_carlo", too_wide)
+        cfg = write_config(tmp_path)
+        assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 2
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_grid_exits_3(self, tmp_path, capsys):
         sim = simulate(tmp_path)

@@ -212,6 +212,12 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="strictly increasing"):
             read_sample_csv(path)
 
+    def test_non_utf8_file_raises_naming_it(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"0,0.5,1\n1,2,\xff\n")
+        with pytest.raises(DataError, match=r"latin\.csv: not UTF-8"):
+            read_sample_csv(path)
+
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(

@@ -396,6 +396,46 @@ class TestRunMonteCarlo:
         assert len(decomposed) == 1 + config.M
         assert len(set(decomposed)) == 1 + config.M
 
+    @pytest.mark.filterwarnings("ignore::fflqr.errors.RankDeficiencyWarning")
+    def test_paired_band_decomposes_no_sample_twice(self, monkeypatch):
+        decomposed = []
+        real = model_mod.fpc_decompose
+
+        def counting(sample, n_components):
+            decomposed.append(sample.values.tobytes())
+            return real(sample, n_components)
+
+        monkeypatch.setattr(model_mod, "fpc_decompose", counting)
+        reports = run_monte_carlo(
+            tiny_config(n_replicates=1), methods=("fflqr",), alpha=0.1
+        )
+        assert {r.method for r in reports} == {"fflqr", "fflqr-direct"}
+        assert len(decomposed) == len(set(decomposed))
+
+    @pytest.mark.filterwarnings("ignore::fflqr.errors.RankDeficiencyWarning")
+    def test_point_fit_unmoved_by_paired_band_levels(self):
+        config = tiny_config()
+        without = run_monte_carlo(config, methods=("fflqr",))
+        with_band = run_monte_carlo(config, methods=("fflqr",), alpha=0.1)
+        point = [(r.replicate, r.model, r.mspe) for r in with_band if r.method == "fflqr"]
+        assert point == [(r.replicate, r.model, r.mspe) for r in without]
+
+    def test_model_wider_than_sample_raises_before_any_replicate(self, monkeypatch):
+        def no_replicate(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(sim_mod, "_replicate_reports", no_replicate)
+        # five predictors at k_x_max = 2 need 11 columns, more than 10 rows
+        with pytest.raises(ConfigError, match="full model.*11 design columns"):
+            run_monte_carlo(tiny_config(n_train=10), models=("full",))
+
+    @pytest.mark.parametrize("model", ["true", "selected"])
+    def test_narrow_models_run_on_a_short_sample(self, model):
+        reports = run_monte_carlo(
+            tiny_config(n_train=10), methods=("fflqr",), models=(model,)
+        )
+        assert [r.model for r in reports] == [model, model]
+
     def test_runs_serially_by_default(self, monkeypatch):
         monkeypatch.setattr(sim_mod, "ThreadPoolExecutor", None)
         reports = run_monte_carlo(tiny_config(), methods=("fpc-ls",), models=("true",))
