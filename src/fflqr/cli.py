@@ -24,13 +24,15 @@ from .errors import ConfigError, DataError, NumericalError
 from .fdata import read_sample_csv, write_sample_csv
 from .model import (
     FflqrFit,
-    fit_fflqr,
+    _decompose,
+    _fit_for,
+    _unwrap,
     load_model,
     predict,
     save_model,
     score_objective,
 )
-from .selection import forward_select, select_truncation, write_trace_csv
+from .selection import _choose, _widths, write_trace_csv
 from .simulate import (
     _METRICS,
     ALL_METHODS,
@@ -146,31 +148,28 @@ def cmd_fit(args) -> int:
 
     # Values the data cannot support (tau outside (0, 1), truncations above
     # the covariance rank) surface as ValueError from the fitting layers.
+    # --tune and --select decompose each sample once and fit a slice of it.
     try:
-        if args.select:
-            sel = forward_select(
-                Y, X, args.tau, fixed_k=args.fixed_k,
-                k_y_max=args.ky_max, k_x_max=args.kx_max,
+        indices, decs = tuple(range(1, len(X) + 1)), None
+        if args.select or args.tune:
+            if args.select:
+                indices, widths = None, _widths(Y, X, args.fixed_k, args.ky_max, args.kx_max)
+            else:
+                widths = args.ky_max, [args.kx_max] * len(X)
+            indices, k_y, k_x, trace, dec = _choose(
+                Y, _decompose(Y, X, *widths), args.tau, indices,
+                args.fixed_k, args.ky_max, args.kx_max,
             )
-            write_trace_csv(sel.bic_trace, out / "selection_trace.csv")
-            outputs.append("selection_trace.csv")
-            indices = sel.chosen_predictors
-            k_y, k_x = sel.chosen_k_y, sel.chosen_k_x
-            X_fit = [X[i - 1] for i in indices]
-        elif args.tune:
-            k_y, k_x, trace = select_truncation(Y, X, args.tau, args.ky_max, args.kx_max)
-            write_trace_csv(trace, out / "bic_trace.csv")
-            outputs.append("bic_trace.csv")
-            indices = tuple(range(1, len(X) + 1))
-            X_fit = X
+            name = "selection_trace.csv" if args.select else "bic_trace.csv"
+            write_trace_csv(trace, out / name)
+            outputs.append(name)
+            decs = [dec]
+        elif args.ky is None or args.kx is None:
+            raise ConfigError("provide --ky and --kx, or use --tune / --select")
         else:
-            if args.ky is None or args.kx is None:
-                raise ConfigError("provide --ky and --kx, or use --tune / --select")
             k_y, k_x = args.ky, args.kx
-            indices = tuple(range(1, len(X) + 1))
-            X_fit = X
-
-        fit = fit_fflqr(Y, X_fit, args.tau, k_y, k_x, indices)
+        X_fit = [X[i - 1] for i in indices]
+        fit = _unwrap(_fit_for("fflqr", [(Y, X_fit)], [args.tau], k_y, k_x, indices, decs)[0][0])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     save_model(fit, out / "model.json")

@@ -10,14 +10,13 @@ representation, one on a B-spline expansion of the curves.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .bspline import bspline_design
-from .errors import DataError, NumericalError, RankDeficiencyWarning
+from .errors import DataError, NumericalError, _warn_rank
 from .fdata import FunctionalSample, Grid
 from .fpca import FpcBasis, fpc_decompose, project_scores, reconstruct
 from .qreg import _column_failure, _fit_stack, qr_objective
@@ -248,11 +247,7 @@ def _ls_solve(design: np.ndarray, responses: np.ndarray) -> np.ndarray:
     minimum-norm solution, with a ``RankDeficiencyWarning``."""
     coefs, _, rank, _ = np.linalg.lstsq(design, responses, rcond=None)
     if rank < design.shape[1]:
-        warnings.warn(
-            f"design has rank {rank} < {design.shape[1]}; minimum-norm solution used",
-            RankDeficiencyWarning,
-            stacklevel=3,
-        )
+        _warn_rank(f"design has rank {rank} < {design.shape[1]}; minimum-norm solution used")
     return coefs
 
 

@@ -23,13 +23,12 @@ widths in one core call through ``_fit_stack``.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericalError, RankDeficiencyWarning
+from .errors import NumericalError, _warn_rank
 
 __all__ = [
     "QrProblem",
@@ -40,7 +39,6 @@ __all__ = [
 ]
 
 _MAX_ITER = 200
-_GAP_ABS = 1e-10
 _GAP_REL = 1e-9
 _STEP_FRAC = 0.9995
 
@@ -215,7 +213,7 @@ def _frisch_newton(Xs, y: np.ndarray, tau: np.ndarray) -> tuple:
         zeta = -y - np.concatenate([_mv(X, nu) for _, X, nu in groups])
         gap = _dot(a, z) + _dot(s, w)
         objective = np.sum(-zeta * (tau - (-zeta < 0)), axis=1)
-        done = (gap < _GAP_ABS) | (gap < _GAP_REL * (1.0 + np.abs(objective)))
+        done = gap < _GAP_REL * (1.0 + np.abs(objective))
         if done.any():
             for (g, _, nu), rs in zip(groups, _slices(groups)):
                 coefs[g][pos[rs][done[rs]]] = -nu[done[rs]]
@@ -284,11 +282,7 @@ def _column_rank(X: np.ndarray) -> np.ndarray:
     if diag.size > 0 and diag[0] > 0.0:
         rank = int(np.sum(diag > diag[0] * max(n, q) * np.finfo(float).eps))
     if rank < q:
-        warnings.warn(
-            f"design has rank {rank} < {q}; dependent columns dropped",
-            RankDeficiencyWarning,
-            stacklevel=3,
-        )
+        _warn_rank(f"design has rank {rank} < {q}; dependent columns dropped")
     return np.sort(piv[:rank])
 
 

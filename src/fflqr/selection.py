@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .fdata import FunctionalSample
+from .fpca import _leading
 from .model import _decompose, _design, _unwrap
 from .qreg import _column_failure, _fit_stack, check_loss
 
@@ -194,19 +195,26 @@ def forward_select(
     """
     if len(X) < 1:
         raise ValueError("need at least one candidate predictor")
+    dec = _decompose(Y, X, *_widths(Y, X, fixed_k, k_y_max, k_x_max))
+    return _forward_select(Y, dec, tau, ratio_threshold, fixed_k, k_y_max, k_x_max)
+
+
+def _widths(Y, X, fixed_k, k_y_max, k_x_max) -> tuple:
+    """The widths forward selection decomposes Y and each ``X[m]`` at: the
+    truncation maxima capped at ``min(n - 1, p)``, but at least ``fixed_k``."""
     if min(fixed_k, k_y_max, k_x_max) < 1:
         raise ValueError("fixed_k and the truncation maxima must be at least 1")
     n = Y.n
-    k_y_cap = min(k_y_max, n - 1, Y.grid.size)
-    k_xs = [max(fixed_k, min(k_x_max, n - 1, x.grid.size)) for x in X]
-    dec = _decompose(Y, X, max(fixed_k, k_y_cap), k_xs)
-    return _forward_select(Y, dec, tau, ratio_threshold, fixed_k, k_y_cap, k_x_max)
+    return max(fixed_k, min(k_y_max, n - 1, Y.grid.size)), [
+        max(fixed_k, min(k_x_max, n - 1, x.grid.size)) for x in X
+    ]
 
 
 def _forward_select(Y, dec, tau, ratio_threshold, fixed_k, k_y_max, k_x_max):
-    """``forward_select`` on ``dec``, a wide enough ``_decompose`` output of Y
-    and every candidate; ``k_y_max`` is already capped at ``min(n - 1, p)``."""
+    """``forward_select`` on ``dec``, a ``_decompose`` output of Y and every
+    candidate at least as wide as ``_widths``."""
     n = Y.n
+    k_y_max = min(k_y_max, n - 1, Y.grid.size)
     preds = dec[1]
     trace, chosen, current_bic = [], [], None
     remaining = list(range(1, len(preds) + 1))
@@ -238,6 +246,22 @@ def _forward_select(Y, dec, tau, ratio_threshold, fixed_k, k_y_max, k_x_max):
     k_x_cap = min([k_x_max, n - 1] + [preds[m][0].grid.size for m in D])
     k_y, k_x, k_trace = _search_truncation(Y, dec, D, tau, k_y_max, k_x_cap)
     return SelectionResult(k_y, k_x, tuple(chosen), tuple(trace) + k_trace)
+
+
+def _choose(Y, dec, tau, D, fixed_k, k_y_max, k_x_max) -> tuple:
+    """The model chosen on ``dec``, a ``_decompose`` output of Y and every
+    candidate: forward selection at the default ratio 0.95 when the labels
+    ``D`` are None, otherwise the truncation search on ``D``. Returns the
+    labels, ``k_y``, ``k_x``, the trace and ``dec`` cut to that model, ready
+    for ``_fit_for``."""
+    if D is None:
+        sel = _forward_select(Y, dec, tau, 0.95, fixed_k, k_y_max, k_x_max)
+        D, k_y, k_x, trace = sel.chosen_predictors, sel.chosen_k_y, sel.chosen_k_x, sel.bic_trace
+    else:
+        k_y, k_x, trace = _search_truncation(Y, dec, [i - 1 for i in D], tau, k_y_max, k_x_max)
+    response, preds = dec
+    model_dec = _leading(response, k_y), [_leading(preds[i - 1], k_x) for i in D]
+    return D, k_y, k_x, trace, model_dec
 
 
 def write_trace_csv(trace, path) -> None:

@@ -18,9 +18,8 @@ import numpy as np
 from .bands import MetricsReport, _paired_band, bootstrap_band, cpd, interval_score, mspe
 from .errors import ConfigError, NumericalError
 from .fdata import FunctionalSample, Grid, make_uniform_grid
-from .fpca import _leading
 from .model import CoefficientSurface, _decompose, _fit_for, _unwrap, predict
-from .selection import _forward_select, _search_truncation
+from .selection import _choose, _widths
 
 __all__ = [
     "SimConfig",
@@ -363,21 +362,6 @@ def generate_dataset(config: SimConfig, seed) -> SimData:
     )
 
 
-def _model_spec(config: SimConfig, data: SimData, dec, model: str) -> tuple:
-    """Resolve (predictor labels, k_y, k_x) for one model variant from the
-    replicate's decomposition ``dec``."""
-    if model == "selected":
-        sel = _forward_select(
-            data.Y_train, dec, config.tau, 0.95, config.fixed_k, config.k_y_max, config.k_x_max
-        )
-        return sel.chosen_predictors, sel.chosen_k_y, sel.chosen_k_x
-    D = tuple(range(1, config.M + 1)) if model == "full" else config.significant
-    k_y, k_x, _ = _search_truncation(
-        data.Y_train, dec, [i - 1 for i in D], config.tau, config.k_y_max, config.k_x_max
-    )
-    return D, k_y, k_x
-
-
 def _replicate_reports(
     config: SimConfig, replicate: int, child, methods, models, alpha
 ) -> list:
@@ -391,40 +375,31 @@ def _replicate_reports(
     n_slots = len(ALL_MODELS) * (len(ALL_METHODS) + 1)
     boot_children = boot_ss.spawn(n_slots)
     # One decomposition per training sample: every model and fit slices it.
-    k_y_max, k_x_max = (max(config.fixed_k, k) for k in (config.k_y_max, config.k_x_max))
-    dec_y, dec_xs = dec = _decompose(data.Y_train, data.X_train, k_y_max, [k_x_max] * config.M)
+    Y, X = data.Y_train, data.X_train
+    ks = (config.fixed_k, config.k_y_max, config.k_x_max)
+    dec = _decompose(Y, X, *_widths(Y, X, *ks))
+    labels = {"full": tuple(range(1, config.M + 1)), "true": config.significant}
 
     reports = []
     for model in ALL_MODELS:
         if model not in models:
             continue
-        D, k_y, k_x = _model_spec(config, data, dec, model)
-        X_tr = [data.X_train[i - 1] for i in D]
+        D, k_y, k_x, _, model_dec = _choose(Y, dec, config.tau, labels.get(model), *ks)
+        X_tr = [X[i - 1] for i in D]
         X_te = [data.X_test[i - 1] for i in D]
-        model_dec = (_leading(dec_y, k_y), [_leading(dec_xs[i - 1], k_x) for i in D])
         for method in ALL_METHODS:
             if method not in methods:
                 continue
             paired = method == "fflqr" and alpha is not None
             taus = [config.tau] + ([alpha / 2.0, 1.0 - alpha / 2.0] if paired else [])
-            (fits,) = _fit_for(
-                method, [(data.Y_train, X_tr)], taus, k_y, k_x, D, [model_dec]
-            )
+            (fits,) = _fit_for(method, [(Y, X_tr)], taus, k_y, k_x, D, [model_dec])
             err = mspe(data.Y_test_signal, predict(_unwrap(fits[0]), X_te))
             band_cpd = band_score = None
             slot = ALL_MODELS.index(model) * (len(ALL_METHODS) + 1) + ALL_METHODS.index(method)
             if alpha is not None:
                 band = bootstrap_band(
-                    data.Y_train,
-                    X_tr,
-                    X_te,
-                    config.tau,
-                    alpha,
-                    k_y,
-                    k_x,
-                    R=config.bootstrap_R,
-                    seed=boot_children[slot],
-                    method=method,
+                    Y, X_tr, X_te, config.tau, alpha, k_y, k_x,
+                    R=config.bootstrap_R, seed=boot_children[slot], method=method,
                 )
                 band_cpd = cpd(band, data.Y_test, alpha)
                 band_score = interval_score(band, data.Y_test, alpha)
@@ -435,17 +410,12 @@ def _replicate_reports(
                 )
             )
             if paired:
-                dband = _paired_band(fits[1:], X_te, alpha, data.Y_train.grid)
+                dband = _paired_band(fits[1:], X_te, alpha, Y.grid)
                 reports.append(
                     MetricsReport(
-                        err,
-                        cpd(dband, data.Y_test, alpha),
-                        interval_score(dband, data.Y_test, alpha),
-                        "fflqr-direct",
-                        model,
-                        scenario,
-                        replicate,
-                        config.master_seed,
+                        err, cpd(dband, data.Y_test, alpha),
+                        interval_score(dband, data.Y_test, alpha), "fflqr-direct",
+                        model, scenario, replicate, config.master_seed,
                     )
                 )
     return reports
@@ -472,8 +442,9 @@ def run_monte_carlo(
     methods : iterable of str
         Subset of {"fflqr", "fpc-ls", "bspline-ls"}.
     models : iterable of str
-        Subset of {"full", "true", "selected"}; each picks its predictors
-        and truncations per replicate as described in ``_model_spec``.
+        Subset of {"full", "true", "selected"}: all M predictors, the
+        significant ones, or forward selection's choice. Each replicate tunes
+        the truncations of the first two by BIC search on the training data.
     alpha : float, optional
         When given, bootstrap bands (plus a paired-quantile band for the
         check-loss method) are evaluated and CPD/interval score reported.

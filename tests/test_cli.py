@@ -9,7 +9,9 @@ import fflqr.simulate as sim_mod
 from fflqr.cli import main
 from fflqr.errors import NumericalError
 from fflqr.fdata import read_sample_csv
-from fflqr.model import fit_fpc_ls, load_model, predict, save_model
+from fflqr.fpca import fpc_decompose
+from fflqr.model import fit_fflqr, fit_fpc_ls, load_model, predict, save_model
+from fflqr.selection import forward_select, select_truncation, write_trace_csv
 from fflqr.simulate import SimConfig
 
 
@@ -186,6 +188,68 @@ class TestFit:
         report = json.loads((out / "report.json").read_text())
         assert set(report["predictors"]) <= {1, 2}
         assert len(report["predictors"]) >= 1
+
+    @pytest.mark.parametrize("flag", ["--tune", "--select"])
+    def test_each_sample_is_decomposed_once(self, tmp_path, monkeypatch, flag):
+        sim = simulate(tmp_path)
+        calls = []
+
+        def counting(sample, k):
+            calls.append(k)
+            return fpc_decompose(sample, k)
+
+        monkeypatch.setattr("fflqr.model.fpc_decompose", counting)
+        xs = [str(sim / f"X{m}_train.csv") for m in (1, 2, 4, 5)]
+        assert main([
+            "fit", "--y", str(sim / "Y_train.csv"), "--x", *xs, flag,
+            "--out", str(tmp_path / "f"),
+        ]) == 0
+        assert len(calls) == 1 + len(xs)
+
+    @pytest.mark.parametrize("flag", ["--tune", "--select"])
+    def test_matches_library_choice_and_fit(self, tmp_path, flag):
+        sim = simulate(tmp_path)
+        paths = [sim / f"X{m}_train.csv" for m in (1, 2, 4, 5)]
+        out = tmp_path / "f"
+        assert main([
+            "fit", "--y", str(sim / "Y_train.csv"), "--x", *map(str, paths), flag,
+            "--tau", "0.7", "--ky-max", "4", "--kx-max", "3", "--out", str(out),
+        ]) == 0
+        Y, X = read_sample_csv(sim / "Y_train.csv"), [read_sample_csv(p) for p in paths]
+        if flag == "--tune":
+            k_y, k_x, trace = select_truncation(Y, X, 0.7, 4, 3)
+            labels, name = (1, 2, 3, 4), "bic_trace.csv"
+        else:
+            sel = forward_select(Y, X, 0.7, k_y_max=4, k_x_max=3)
+            k_y, k_x, trace = sel.chosen_k_y, sel.chosen_k_x, sel.bic_trace
+            labels, name = sel.chosen_predictors, "selection_trace.csv"
+        write_trace_csv(trace, tmp_path / "expected.csv")
+        assert (out / name).read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        report = json.loads((out / "report.json").read_text())
+        assert (report["k_y"], report["k_x"], report["predictors"]) == (k_y, k_x, list(labels))
+        X_fit = [X[i - 1] for i in labels]
+        expected = fit_fflqr(Y, X_fit, 0.7, k_y, k_x, labels)
+        got = load_model(out / "model.json")
+        scale = np.abs(expected.coefs).max()
+        np.testing.assert_allclose(got.coefs, expected.coefs, rtol=0, atol=1e-12 * scale)
+        want = predict(expected, X_fit).values
+        np.testing.assert_allclose(
+            predict(got, X_fit).values, want, rtol=0, atol=1e-12 * np.abs(want).max()
+        )
+
+    def test_select_caps_truncation_maxima(self, tmp_path):
+        # 120 curves on 100 grid points: the grid size caps --ky-max 300.
+        sim = simulate(tmp_path, n_train=120, n_grid=100)
+        out = tmp_path / "f"
+        assert main([
+            "fit", "--y", str(sim / "Y_train.csv"),
+            "--x", str(sim / "X2_train.csv"), str(sim / "X4_train.csv"),
+            "--select", "--ky-max", "300", "--kx-max", "2", "--out", str(out),
+        ]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert 1 <= report["k_y"] <= 100 and 1 <= report["k_x"] <= 2
+        trace = (out / "selection_trace.csv").read_text().splitlines()
+        assert sum(row.startswith("truncation,") for row in trace) == 100 * 2
 
 
 class TestPredict:

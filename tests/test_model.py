@@ -18,7 +18,7 @@ from fflqr.model import (
     save_model,
     score_objective,
 )
-from fflqr.qreg import QrProblem, qr_fit
+from fflqr.qreg import QrProblem, qr_fit, qr_fit_multi
 
 
 def smooth_predictors(rng, n, grid, m=2, n_harmonics=5):
@@ -364,3 +364,25 @@ class TestSerialization:
         np.testing.assert_allclose(
             predict(back, [x]).values, predict(fit, [x]).values, atol=1e-12
         )
+
+
+def _duplicate_design_qr(Y, x):
+    design = np.column_stack([np.ones(Y.n), x.values[:, :2], x.values[:, 1]])
+    return qr_fit_multi(design, Y.values[:, :2], 0.5)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda Y, x: fit_fflqr(Y, [x, x], 0.5, 2, 2),
+    lambda Y, x: fit_fpc_ls(Y, [x, x], 2, 2),
+    lambda Y, x: fit_bspline_ls(Y, [x, x], n_basis=6),
+    _duplicate_design_qr,
+], ids=["fit_fflqr", "fit_fpc_ls", "fit_bspline_ls", "qr_fit_multi"])
+def test_rank_warning_names_the_caller(entry):
+    # Call depth below each entry differs; the warning must name this file.
+    rng = np.random.default_rng(15)
+    g = make_uniform_grid(20, 0.0, 1.0)
+    (x,) = smooth_predictors(rng, 30, g, m=1)
+    Y = FunctionalSample(np.cumsum(rng.normal(size=(30, 20)), axis=1) * 0.2, g)
+    with pytest.warns(RankDeficiencyWarning) as record:
+        entry(Y, x)
+    assert [w.filename for w in record] == [__file__] * len(record)
