@@ -106,10 +106,13 @@ def bootstrap_band(
     Each of the ``R`` replicates resamples training rows with replacement,
     refits at the fixed configuration and predicts the test set; bounds are
     the pointwise ``alpha/2`` and ``1 - alpha/2`` quantiles over replicates
-    (linear interpolation of order statistics). The check-loss problems of
-    all refits are solved in one stacked call. Refits that fail numerically
-    are left out and counted on the band; fewer than ``R/2`` successes
-    raise ``NumericalError``.
+    (linear interpolation of order statistics). Each refit decomposes its
+    resample once, at exactly ``(k_y, k_x)``, on the truncated FPCA path
+    that computes only the leading eigenpairs, as ``fit_fflqr`` does; so a
+    refit equals ``fit_fflqr`` on its resample bitwise. The check-loss
+    problems of all refits are solved in one stacked call. Refits that fail
+    numerically are left out and counted on the band; fewer than ``R/2``
+    successes raise ``NumericalError``.
 
     Parameters
     ----------
@@ -142,9 +145,8 @@ def bootstrap_band(
         raise NumericalError(
             f"only {len(preds)} of {R} bootstrap refits succeeded"
         )
-    stack = np.stack(preds)
-    lower = np.quantile(stack, alpha / 2.0, axis=0, method="linear")
-    upper = np.quantile(stack, 1.0 - alpha / 2.0, axis=0, method="linear")
+    levels = [alpha / 2.0, 1.0 - alpha / 2.0]
+    lower, upper = np.quantile(np.stack(preds), levels, axis=0, method="linear")
     return PredictionBand(lower, upper, alpha, Y_train.grid, failed_refits=R - len(preds))
 
 

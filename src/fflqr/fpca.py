@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
 from .fdata import FunctionalSample, Grid, center
 
@@ -54,6 +55,13 @@ class FpcBasis:
 def fpc_decompose(sample: FunctionalSample, n_components: int) -> tuple[FpcBasis, np.ndarray]:
     """Extract leading principal components of a functional sample.
 
+    The decomposition comes from the full eigendecomposition of the
+    weighted covariance, so it nests bitwise: the basis of
+    ``fpc_decompose(sample, k)`` is the first ``k`` components of
+    ``fpc_decompose(sample, K)`` for any ``k <= K``. Code that decomposes
+    once at the largest truncation it needs and then slices (``_leading``)
+    relies on this.
+
     Parameters
     ----------
     sample : FunctionalSample
@@ -68,6 +76,21 @@ def fpc_decompose(sample: FunctionalSample, n_components: int) -> tuple[FpcBasis
     scores : ndarray, shape (n, K)
         Quadrature projections of the centered curves onto the basis.
     """
+    return _fpca(sample, n_components, truncated=False)
+
+
+def _fpc_top(sample: FunctionalSample, n_components: int) -> tuple[FpcBasis, np.ndarray]:
+    """``fpc_decompose`` computed from the ``n_components`` leading eigenpairs
+    alone (LAPACK's MRRR driver ``dsyevr``), which costs less than the full
+    eigendecomposition when K is much smaller than p. It agrees with
+    ``fpc_decompose`` to rounding but does not nest bitwise, so it serves
+    only decompositions used at exactly the truncation they were taken at
+    and never sliced."""
+    return _fpca(sample, n_components, truncated=True)
+
+
+def _fpca(sample: FunctionalSample, n_components: int, truncated: bool) -> tuple:
+    """The one FPCA body; ``truncated`` selects the eigensolver only."""
     if n_components < 1:
         raise ValueError("n_components must be positive")
     n, p = sample.values.shape
@@ -86,7 +109,10 @@ def fpc_decompose(sample: FunctionalSample, n_components: int) -> tuple[FpcBasis
 
     cov = centered.values.T @ centered.values / n
     sym = sqrt_w[:, None] * cov * sqrt_w[None, :]
-    eigvals, eigvecs = np.linalg.eigh(sym)
+    if truncated:
+        eigvals, eigvecs = scipy.linalg.eigh(sym, subset_by_index=[p - K, p - 1], driver="evr")
+    else:
+        eigvals, eigvecs = np.linalg.eigh(sym)
     order = np.argsort(eigvals)[::-1][:K]
     lam = eigvals[order]
     vecs = eigvecs[:, order]
@@ -98,10 +124,8 @@ def fpc_decompose(sample: FunctionalSample, n_components: int) -> tuple[FpcBasis
     # Back-transform to eigenfunctions of the covariance operator and fix
     # the sign so the entry of largest magnitude is positive.
     funcs = (vecs / sqrt_w[:, None]).T
-    for k in range(K):
-        j = np.argmax(np.abs(funcs[k]))
-        if funcs[k, j] < 0:
-            funcs[k] = -funcs[k]
+    peaks = funcs[np.arange(K), np.argmax(np.abs(funcs), axis=1)]
+    funcs = np.where(peaks[:, None] < 0, -funcs, funcs)
 
     basis = FpcBasis(sample.grid, mean, funcs, lam)
     scores = centered.values @ (funcs * w).T
@@ -110,7 +134,8 @@ def fpc_decompose(sample: FunctionalSample, n_components: int) -> tuple[FpcBasis
 
 def _leading(decomposition: tuple, k: int) -> tuple:
     """The first ``k`` components of an ``fpc_decompose`` result; only the
-    scores may differ from ``fpc_decompose(sample, k)``, in the last bits."""
+    scores may differ from ``fpc_decompose(sample, k)``, in the last bits.
+    Never slice a ``_fpc_top`` result: it does not nest bitwise."""
     basis, scores = decomposition
     funcs, lam = basis.eigenfunctions[:k], basis.eigenvalues[:k]
     return replace(basis, eigenfunctions=funcs, eigenvalues=lam), scores[:, :k]

@@ -18,7 +18,7 @@ import scipy.linalg
 from .bspline import bspline_design
 from .errors import DataError, NumericalError, _warn_rank
 from .fdata import FunctionalSample, Grid
-from .fpca import FpcBasis, fpc_decompose, project_scores, reconstruct
+from .fpca import FpcBasis, _fpc_top, fpc_decompose, project_scores, reconstruct
 from .qreg import _column_failure, _fit_stack, qr_objective
 
 __all__ = [
@@ -135,12 +135,15 @@ def _resolve_indices(X, predictor_indices):
     return predictor_indices
 
 
-def _decompose(Y: FunctionalSample, X, k_y: int, k_xs) -> tuple:
+def _decompose(Y: FunctionalSample, X, k_y: int, k_xs, truncated: bool = False) -> tuple:
     """Validate the samples, then decompose Y at ``k_y`` and each ``X[m]`` at
     ``k_xs[m]`` components: the response ``(basis, scores)`` and a list of
-    ``(basis, scores)``, one per predictor."""
+    ``(basis, scores)``, one per predictor. The decompositions are full and
+    nested (``fpc_decompose``), ready to be sliced by ``_leading``, unless
+    ``truncated`` asks for ``_fpc_top``, which must never be sliced."""
     _validate_samples(Y, X)
-    return fpc_decompose(Y, k_y), [fpc_decompose(x, k) for x, k in zip(X, k_xs)]
+    decompose = _fpc_top if truncated else fpc_decompose
+    return decompose(Y, k_y), [decompose(x, k) for x, k in zip(X, k_xs)]
 
 
 def _design(blocks) -> np.ndarray:
@@ -154,11 +157,15 @@ def _fit_for(method, samples, taus, k_y, k_x, predictor_indices=None, decs=None)
     ``samples`` at each level of ``taus``; the only method dispatch.
 
     ``fits[i][j]`` fits sample i at ``taus[j]``, or is the ``NumericalError``
-    that stopped it. Score methods decompose each sample at ``(k_y, k_x)``
-    unless ``decs`` yields their ``_decompose`` outputs (whose widths then set
-    the truncations), and solve every sample, level and response score in one
-    stacked call. Least squares methods fit each sample once, whatever the
-    level; ``fpc-ls`` fits carry the label 0.5.
+    that stopped it. Score methods solve every sample, level and response
+    score in one stacked call. With ``decs`` they fit its ``_decompose``
+    outputs, whose widths then set the truncations: slices of full, nested
+    decompositions, as selection hands over. Without it they decompose each
+    sample at ``(k_y, k_x)`` on the truncated path (``_fpc_top``, leading
+    eigenpairs only), since those decompositions are used at exactly that
+    truncation and never sliced: every bootstrap refit, ``fit_fflqr``,
+    ``fit_fpc_ls`` and ``direct_band``. Least squares methods fit each sample
+    once, whatever the level; ``fpc-ls`` fits carry the label 0.5.
     """
     if method == "bspline-ls":
         fits = []
@@ -172,7 +179,7 @@ def _fit_for(method, samples, taus, k_y, k_x, predictor_indices=None, decs=None)
     if method not in ("fflqr", "fpc-ls"):
         raise ValueError(f"unknown method {method!r}")
     if decs is None:
-        decs = (_decompose(Y, X, k_y, [k_x] * len(X)) for Y, X in samples)
+        decs = (_decompose(Y, X, k_y, [k_x] * len(X), truncated=True) for Y, X in samples)
     decs = list(decs)
     indices = _resolve_indices(decs[0][1], predictor_indices)
     designs = np.stack([_design(zeta for _, zeta in preds) for _, preds in decs])

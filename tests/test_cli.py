@@ -1,15 +1,20 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fflqr
 import fflqr.simulate as sim_mod
 from fflqr.cli import main
 from fflqr.errors import NumericalError
 from fflqr.fdata import read_sample_csv
-from fflqr.fpca import fpc_decompose
+from fflqr.fpca import _fpc_top, fpc_decompose
 from fflqr.model import fit_fflqr, fit_fpc_ls, load_model, predict, save_model
 from fflqr.selection import forward_select, select_truncation, write_trace_csv
 from fflqr.simulate import SimConfig
@@ -194,11 +199,15 @@ class TestFit:
         sim = simulate(tmp_path)
         calls = []
 
-        def counting(sample, k):
-            calls.append(k)
-            return fpc_decompose(sample, k)
+        def counting(real):
+            def decompose(sample, k):
+                calls.append(k)
+                return real(sample, k)
 
-        monkeypatch.setattr("fflqr.model.fpc_decompose", counting)
+            return decompose
+
+        monkeypatch.setattr("fflqr.model.fpc_decompose", counting(fpc_decompose))
+        monkeypatch.setattr("fflqr.model._fpc_top", counting(_fpc_top))
         xs = [str(sim / f"X{m}_train.csv") for m in (1, 2, 4, 5)]
         assert main([
             "fit", "--y", str(sim / "Y_train.csv"), "--x", *xs, flag,
@@ -481,6 +490,29 @@ class TestBenchmark:
         assert manifest["failed_replicates"] == [1]
         summary = (out / "summary.csv").read_text().splitlines()[1:]
         assert summary and all(line.split(",")[-1] == "4" for line in summary)
+
+
+    @pytest.mark.parametrize("interpreter_flags", [(), ("-X", "frozen_modules=off")],
+                             ids=["frozen-runpy", "source-runpy"])
+    def test_rank_warning_under_python_m_names_a_package_line(self, tmp_path, interpreter_flags):
+        # under `python -m` only runpy calls into the package; the warning
+        # names the outermost package line, never runpy's, whether runpy is
+        # frozen or loaded from runpy.py as on Python 3.10
+        src = Path(fflqr.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        ))
+        proc = subprocess.run(
+            [sys.executable, *interpreter_flags, "-W", "always", "-m", "fflqr.cli", "benchmark",
+             "--n-train", "16", "--models", "true", "--replicates", "1",
+             "--methods", "bspline-ls", "--out", str(tmp_path / "bench")],
+            capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        warned = [line for line in proc.stderr.splitlines() if "RankDeficiencyWarning" in line]
+        assert warned
+        for line in warned:
+            assert line.startswith(str(src / "fflqr" / "cli.py") + ":"), line
 
 
 class TestBadValueExitCodes:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fflqr.fdata import FunctionalSample, Grid, inner_product, make_uniform_grid
-from fflqr.fpca import _leading, fpc_decompose, project_scores, reconstruct
+from fflqr.fpca import _fpc_top, _leading, fpc_decompose, project_scores, reconstruct
 
 
 def smooth_sample(rng, n, grid, n_harmonics=6, decay=0.6):
@@ -188,3 +188,46 @@ def test_decomposition_invariants(seed, n, p, uniform, repeated):
     np.testing.assert_array_equal(prefix.mean, basis.mean)
     assert prefix.rank_deficient == basis.rank_deficient
     assert np.abs(prefix_scores - scores).max() <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 30),
+    p=st.integers(2, 40),
+    uniform=st.booleans(),
+    repeated=st.booleans(),
+)
+def test_truncated_path_matches_full_decomposition(seed, n, p, uniform, repeated):
+    # the sample strategy of test_decomposition_invariants
+    rng = np.random.default_rng(seed)
+    if uniform:
+        g = make_uniform_grid(p, 0.0, 1.0)
+    else:
+        g = Grid.from_points(np.cumsum(rng.uniform(0.05, 2.0, size=p)))
+    vals = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+    if repeated:
+        vals[n // 2:] = vals[: n - n // 2]  # rank-deficient: repeated curves
+    sample = FunctionalSample(vals, g)
+    K = min(n - 1, p)
+    full, _ = fpc_decompose(sample, K)
+    top, _ = _fpc_top(sample, K)
+
+    lam = full.eigenvalues
+    assert np.abs(top.eigenvalues - lam).max() <= 1e-12 * lam[0]
+    np.testing.assert_array_equal(top.eigenvalues == 0.0, lam == 0.0)
+    assert top.rank_deficient == full.rank_deficient
+    np.testing.assert_array_equal(top.mean, full.mean)
+    gram = (top.eigenfunctions * g.weights) @ top.eigenfunctions.T
+    np.testing.assert_allclose(gram, np.eye(K), atol=1e-10)
+
+    # components with a relative eigengap of at least 1e-6 are determined up
+    # to sign, and the sign convention must pick the same one; past K the
+    # next eigenvalue is 0 when K = n - 1 < p, and absent when K = p
+    neighbours = np.concatenate([[np.inf], lam, [0.0 if K < p else np.inf]])
+    gaps = np.minimum(np.abs(lam - neighbours[:-2]), np.abs(lam - neighbours[2:]))
+    for k in np.flatnonzero((gaps >= 1e-6 * lam[0]) & (gaps > 0)):
+        f, f_top = full.eigenfunctions[k], top.eigenfunctions[k]
+        peak = np.argmax(np.abs(f))
+        assert np.sign(f_top[peak]) == np.sign(f[peak])
+        assert np.abs(f_top - f).max() <= 1e-8 * np.abs(f).max()
