@@ -114,6 +114,13 @@ def bootstrap_band(
     numerically are left out and counted on the band; fewer than ``R/2``
     successes raise ``NumericalError``.
 
+    The bounds are quantiles of re-estimated tau-quantile curves, so the band
+    covers the spread of the estimated quantile curve, not new response
+    curves: it is a confidence band for the curve, and covers observed
+    responses only where estimation noise dominates. At nominal 0.90
+    (tau=0.5, K=(3,3), R=100, seed 5) it covered 0.37 of the test responses
+    on the default simulated data (n=200) and 0.84 at n=30, sigma=0.3.
+
     Parameters
     ----------
     method : str
@@ -162,6 +169,12 @@ def direct_band(
 
     Both levels share one decomposition of the training curves and one
     stacked solve; the band is built by ``_paired_band``.
+
+    It estimates the conditional ``alpha/2`` and ``1 - alpha/2`` quantile
+    curves of the response, so it aims at new response curves, but each
+    response score's quantile is fit separately and it undercovers: at
+    nominal 0.90 (K=(3,3), seed 5) it covered 0.69 of the test responses on
+    the default simulated data (n=200) and 0.42 at n=30, sigma=0.3.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
@@ -191,7 +204,8 @@ def _check_band_shapes(band: PredictionBand, Y_true: FunctionalSample) -> None:
 def cpd(band: PredictionBand, Y_true: FunctionalSample, alpha: float) -> float:
     """Absolute gap between nominal and empirical pointwise coverage.
 
-    Coverage pools all (curve, grid point) pairs inside the band.
+    Coverage pools all (curve, grid point) pairs inside the band. The gap
+    is unsigned, so under- and over-coverage of the same size read the same.
     """
     _check_band_shapes(band, Y_true)
     inside = (band.lower <= Y_true.values) & (Y_true.values <= band.upper)

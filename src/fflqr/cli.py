@@ -142,6 +142,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     started = _now()
+    given = [k for k in (args.ky, args.kx) if k is not None]
+    if len(given) != (0 if args.tune or args.select else 2):
+        raise ConfigError(
+            "set the truncations either with both --ky and --kx or by --tune / --select"
+        )
     out = _out_dir(args.out)
     Y, X = _read_samples(args.y, args.x)
     outputs = []
@@ -164,8 +169,6 @@ def cmd_fit(args) -> int:
             write_trace_csv(trace, out / name)
             outputs.append(name)
             decs = [dec]
-        elif args.ky is None or args.kx is None:
-            raise ConfigError("provide --ky and --kx, or use --tune / --select")
         else:
             k_y, k_x = args.ky, args.kx
         X_fit = [X[i - 1] for i in indices]

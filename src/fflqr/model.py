@@ -333,20 +333,6 @@ def _projected_design(fit: FflqrFit, X) -> np.ndarray:
     return _design(project_scores(b, x) for b, x in zip(fit.predictor_bases, X))
 
 
-def _predict_scores(fit: FflqrFit, X_new) -> FunctionalSample:
-    xi_hat = _projected_design(fit, X_new) @ fit.coefs
-    return reconstruct(fit.response_basis, xi_hat)
-
-
-def _predict_bspline(fit: BsplineLsFit, X_new) -> FunctionalSample:
-    _check_predictors(X_new, len(fit.predictor_grids))
-    design = _bspline_design(X_new, fit.predictor_grids, fit.n_basis, fit.order)
-    d_hat = design @ fit.theta
-    g = fit.response_grid
-    B_resp = bspline_design(g.points, fit.n_basis, fit.order, g.points[0], g.points[-1])
-    return FunctionalSample(d_hat @ B_resp.T, g)
-
-
 def predict(fit, X_new) -> FunctionalSample:
     """Predicted response curves for new predictor curves.
 
@@ -357,10 +343,14 @@ def predict(fit, X_new) -> FunctionalSample:
         Same number, order and grids as the predictors used in fitting.
     """
     if isinstance(fit, FflqrFit):
-        return _predict_scores(fit, X_new)
-    if isinstance(fit, BsplineLsFit):
-        return _predict_bspline(fit, X_new)
-    raise TypeError(f"cannot predict from {type(fit).__name__}")
+        return reconstruct(fit.response_basis, _projected_design(fit, X_new) @ fit.coefs)
+    if not isinstance(fit, BsplineLsFit):
+        raise TypeError(f"cannot predict from {type(fit).__name__}")
+    _check_predictors(X_new, len(fit.predictor_grids))
+    d_hat = _bspline_design(X_new, fit.predictor_grids, fit.n_basis, fit.order) @ fit.theta
+    g = fit.response_grid
+    B_resp = bspline_design(g.points, fit.n_basis, fit.order, g.points[0], g.points[-1])
+    return FunctionalSample(d_hat @ B_resp.T, g)
 
 
 def _block_rows(fit: FflqrFit, position: int) -> slice:

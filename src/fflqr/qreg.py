@@ -192,6 +192,12 @@ def _frisch_newton(Xs, y: np.ndarray, tau: np.ndarray) -> tuple:
     solved = np.zeros(len(y), dtype=bool)
     if len(y) == 0:
         return coefs, solved
+    # Each problem is solved on y / 2^e, with 2^e > max|y| (1 for an all-zero
+    # row), and its coefficients scaled back: the absolute terms below (the
+    # gap test's 1 + |objective|, the offsets' 1e-4 floors) then do not
+    # depend on the units of y, and a power-of-two rescaling is exact.
+    scale = np.ldexp(1.0, np.frexp(np.abs(y).max(axis=1))[1])
+    y = y / scale[:, None]
     n = y.shape[1]
     idx = np.arange(len(y))
     pos = np.concatenate([np.arange(len(X)) for X in Xs])  # place in its stack
@@ -216,7 +222,7 @@ def _frisch_newton(Xs, y: np.ndarray, tau: np.ndarray) -> tuple:
         done = gap < _GAP_REL * (1.0 + np.abs(objective))
         if done.any():
             for (g, _, nu), rs in zip(groups, _slices(groups)):
-                coefs[g][pos[rs][done[rs]]] = -nu[done[rs]]
+                coefs[g][pos[rs][done[rs]]] = -nu[done[rs]] * scale[idx[rs][done[rs]], None]
             solved[idx[done]] = True
             rows = (y, tau, a, s, z, w, zeta, gap, idx, pos)
             groups, (y, tau, a, s, z, w, zeta, gap, idx, pos) = _keep(~done, groups, rows)

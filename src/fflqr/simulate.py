@@ -380,6 +380,14 @@ def _replicate_reports(
     dec = _decompose(Y, X, *_widths(Y, X, *ks))
     labels = {"full": tuple(range(1, config.M + 1)), "true": config.significant}
 
+    def report(method, band):
+        # The row of ``method`` under the current model and prediction error;
+        # CPD and interval score only when a band is given.
+        scores = (None, None) if band is None else (
+            cpd(band, data.Y_test, alpha), interval_score(band, data.Y_test, alpha)
+        )
+        return MetricsReport(err, *scores, method, model, scenario, replicate, config.master_seed)
+
     reports = []
     for model in ALL_MODELS:
         if model not in models:
@@ -394,30 +402,16 @@ def _replicate_reports(
             taus = [config.tau] + ([alpha / 2.0, 1.0 - alpha / 2.0] if paired else [])
             (fits,) = _fit_for(method, [(Y, X_tr)], taus, k_y, k_x, D, [model_dec])
             err = mspe(data.Y_test_signal, predict(_unwrap(fits[0]), X_te))
-            band_cpd = band_score = None
-            slot = ALL_MODELS.index(model) * (len(ALL_METHODS) + 1) + ALL_METHODS.index(method)
+            band = None
             if alpha is not None:
+                slot = ALL_MODELS.index(model) * (len(ALL_METHODS) + 1) + ALL_METHODS.index(method)
                 band = bootstrap_band(
                     Y, X_tr, X_te, config.tau, alpha, k_y, k_x,
                     R=config.bootstrap_R, seed=boot_children[slot], method=method,
                 )
-                band_cpd = cpd(band, data.Y_test, alpha)
-                band_score = interval_score(band, data.Y_test, alpha)
-            reports.append(
-                MetricsReport(
-                    err, band_cpd, band_score, method, model, scenario,
-                    replicate, config.master_seed,
-                )
-            )
+            reports.append(report(method, band))
             if paired:
-                dband = _paired_band(fits[1:], X_te, alpha, Y.grid)
-                reports.append(
-                    MetricsReport(
-                        err, cpd(dband, data.Y_test, alpha),
-                        interval_score(dband, data.Y_test, alpha), "fflqr-direct",
-                        model, scenario, replicate, config.master_seed,
-                    )
-                )
+                reports.append(report("fflqr-direct", _paired_band(fits[1:], X_te, alpha, Y.grid)))
     return reports
 
 

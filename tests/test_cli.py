@@ -155,6 +155,8 @@ class TestFit:
         ("--tune", "--ky-max", "30"),
         ("--select", "--fixed-k", "0"),
         ("--select", "--ky-max", "0"),
+        ("--ky", "2", "--kx", "2", "--tune"),
+        ("--select", "--kx", "3"),
     ])
     def test_unsupported_fit_settings_exit_2(self, tmp_path, flags):
         sim = simulate(tmp_path, n_train=20)

@@ -117,6 +117,18 @@ class TestFitFflqr:
             prev = total
 
 
+    @pytest.mark.parametrize("c", [1e-8, 1e-4, 1e4, 1e8])
+    def test_predictions_do_not_depend_on_response_units(self, c):
+        rng = np.random.default_rng(25)
+        g = make_uniform_grid(30, 0.0, 1.0)
+        x, z = smooth_predictors(rng, 80, g, m=2)
+        Y = FunctionalSample(
+            x.values[:, ::-1] - 0.5 * z.values + rng.chisquare(1, size=(80, 30)), g
+        )
+        base = predict(fit_fflqr(Y, [x, z], 0.9, 3, 3), [x, z]).values
+        scaled = predict(fit_fflqr(FunctionalSample(c * Y.values, g), [x, z], 0.9, 3, 3), [x, z])
+        np.testing.assert_allclose(scaled.values / c, base, rtol=0, atol=1e-8 * np.abs(base).max())
+
     def test_predictor_curve_count_mismatch_raises(self):
         rng = np.random.default_rng(24)
         g = make_uniform_grid(20, 0.0, 1.0)

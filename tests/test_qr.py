@@ -113,6 +113,19 @@ class TestQrFit:
         scaled = qr_fit(QrProblem(np.ones((5, 1)), 10.0 * y, 0.5))[0]
         assert scaled == pytest.approx(10.0 * base, abs=1e-5)
 
+    @pytest.mark.parametrize("k", [-30, -17, -3, 1, 9, 30])
+    def test_power_of_two_scaling_is_exact(self, k):
+        # Each problem is solved in units of its own largest |y|, so a
+        # power-of-two rescaling of the responses rescales the coefficients
+        # bit for bit; an all-zero column is left as it is by any scale.
+        rng = np.random.default_rng(41)
+        X = np.column_stack([np.ones(60), rng.normal(size=(60, 3))])
+        Y = np.column_stack([rng.standard_t(3, size=(60, 3)), np.zeros(60)])
+        base = qr_fit_multi(X, Y, 0.3)
+        scaled = qr_fit_multi(X, 2.0 ** k * Y, 0.3)
+        np.testing.assert_array_equal(scaled[:, :3], 2.0 ** k * base[:, :3])
+        np.testing.assert_array_equal(scaled[:, 3], base[:, 3])
+
     def test_objective_scaling_equivariance(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(25, 2))
