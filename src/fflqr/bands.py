@@ -123,6 +123,10 @@ def bootstrap_band(
 
     Parameters
     ----------
+    seed : int or numpy.random.SeedSequence
+        Seeds the ``R`` resamples. A ``SeedSequence`` is not advanced: the
+        resamples come from the children a never-spawned copy of it gives,
+        so the same object gives the same band on every call.
     method : str
         "fflqr" (default), "fpc-ls" or "bspline-ls"; the band wraps
         whichever estimator it is asked to resample.
@@ -134,10 +138,14 @@ def bootstrap_band(
     n = Y_train.n
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
+    # A fresh copy spawns the children, so the caller's sequence is not advanced.
+    children = np.random.SeedSequence(
+        seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size
+    ).spawn(R)
 
     def resamples():
         # One resample at a time: only its decomposition outlives it.
-        for child in seed.spawn(R):
+        for child in children:
             rows = np.random.default_rng(child).integers(0, n, size=n)
             yield (
                 FunctionalSample(Y_train.values[rows], Y_train.grid),

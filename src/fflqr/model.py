@@ -416,12 +416,18 @@ def _basis_to_json(basis: FpcBasis) -> dict:
 
 
 def _basis_from_json(obj: dict) -> FpcBasis:
-    return FpcBasis(
-        _grid_from_json(obj["grid"]),
-        np.array(obj["mean"]),
-        np.array(obj["eigenfunctions"]),
-        np.array(obj["eigenvalues"]),
+    """The basis stored in ``obj``; ``ValueError`` unless its mean,
+    eigenfunctions and eigenvalues are finite arrays of shapes ``(p,)``,
+    ``(K, p)`` and ``(K,)`` on a grid of ``p`` points."""
+    grid = _grid_from_json(obj["grid"])
+    mean, funcs, lam = (
+        np.array(obj[key], dtype=float) for key in ("mean", "eigenfunctions", "eigenvalues")
     )
+    if (mean.shape, funcs.shape, lam.ndim) != ((grid.size,), (lam.size, grid.size), 1):
+        raise ValueError("basis arrays must have shapes (p,), (K, p) and (K,)")
+    if not all(np.isfinite(a).all() for a in (mean, funcs, lam)):
+        raise ValueError("basis arrays must be finite")
+    return FpcBasis(grid, mean, funcs, lam)
 
 
 def save_model(fit, path) -> None:
@@ -458,17 +464,20 @@ def load_model(path):
             doc = json.load(fh)
         kind = doc.get("kind") if isinstance(doc, dict) else None
         if kind in ("fflqr", "fpc-ls"):
+            bases = tuple(_basis_from_json(b) for b in doc["predictor_bases"])
+            if not bases:
+                raise ValueError("a score model needs at least one predictor basis")
             return FflqrFit(
                 float(doc["tau"]),
                 _basis_from_json(doc["response_basis"]),
-                tuple(_basis_from_json(b) for b in doc["predictor_bases"]),
-                np.array(doc["coefficients"]),
+                bases,
+                np.array(doc["coefficients"], dtype=float),
                 tuple(doc["predictor_indices"]),
                 kind,
             )
         if kind == "bspline-ls":
             return BsplineLsFit(
-                np.array(doc["theta"]),
+                np.array(doc["theta"], dtype=float),
                 _grid_from_json(doc["response_grid"]),
                 tuple(_grid_from_json(g) for g in doc["predictor_grids"]),
                 int(doc["n_basis"]),

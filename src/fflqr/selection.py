@@ -134,7 +134,7 @@ def select_truncation(
     if k_y_max < 1 or k_x_max < 1:
         raise ValueError("truncation maxima must be at least 1")
     dec = _decompose(Y, X, k_y_max, [k_x_max] * len(X))
-    return _search_truncation(Y, dec, range(len(X)), tau, k_y_max, k_x_max)
+    return _choose(Y, dec, tau, tuple(range(1, len(X) + 1)), None, k_y_max, k_x_max)[1:4]
 
 
 def bic_candidate(
@@ -196,7 +196,10 @@ def forward_select(
     if len(X) < 1:
         raise ValueError("need at least one candidate predictor")
     dec = _decompose(Y, X, *_widths(Y, X, fixed_k, k_y_max, k_x_max))
-    return _forward_select(Y, dec, tau, ratio_threshold, fixed_k, k_y_max, k_x_max)
+    D, k_y, k_x, trace, _ = _choose(
+        Y, dec, tau, None, fixed_k, k_y_max, k_x_max, ratio_threshold
+    )
+    return SelectionResult(k_y, k_x, D, trace)
 
 
 def _widths(Y, X, fixed_k, k_y_max, k_x_max) -> tuple:
@@ -210,26 +213,28 @@ def _widths(Y, X, fixed_k, k_y_max, k_x_max) -> tuple:
     ]
 
 
-def _forward_select(Y, dec, tau, ratio_threshold, fixed_k, k_y_max, k_x_max):
-    """``forward_select`` on ``dec``, a ``_decompose`` output of Y and every
-    candidate at least as wide as ``_widths``."""
+def _choose(Y, dec, tau, D, fixed_k, k_y_max, k_x_max, ratio_threshold=0.95) -> tuple:
+    """The one model-choice procedure on ``dec``, a ``_decompose`` output of Y and
+    every candidate at least as wide as ``_widths``: forward stages at ``fixed_k``
+    pick the labels when ``D`` is None, then the truncation search runs up to the
+    maxima capped at ``min(n - 1, p)`` over Y and the chosen predictors. Returns
+    the labels, ``k_y``, ``k_x``, the trace and ``dec`` cut to that model."""
     n = Y.n
-    k_y_max = min(k_y_max, n - 1, Y.grid.size)
-    preds = dec[1]
+    response, preds = dec
     trace, chosen, current_bic = [], [], None
-    remaining = list(range(1, len(preds) + 1))
+    remaining = list(range(1, len(preds) + 1)) if D is None else []
     while remaining:
         stage = f"stage{len(chosen) + 1}"
         results = []
         sets = [chosen + [label] for label in remaining]
-        losses = _losses(Y, dec, [([i - 1 for i in D], fixed_k) for D in sets], tau, fixed_k)
-        for label, D, loss in zip(remaining, sets, losses):
+        losses = _losses(Y, dec, [([i - 1 for i in S], fixed_k) for S in sets], tau, fixed_k)
+        for label, S, loss in zip(remaining, sets, losses):
             if isinstance(loss, NumericalError):
                 bic, note = math.nan, str(loss)
             else:
-                bic, note = loss[-1] + len(D) * math.log(n) / (2 * n), ""
+                bic, note = loss[-1] + len(S) * math.log(n) / (2 * n), ""
                 results.append((bic, label, len(trace)))
-            name = "{" + ",".join(str(i) for i in D) + "}"
+            name = "{" + ",".join(str(i) for i in S) + "}"
             trace.append(BicTraceEntry(stage, name, fixed_k, fixed_k, bic, False, note))
         if not results:
             break
@@ -240,28 +245,15 @@ def _forward_select(Y, dec, tau, ratio_threshold, fixed_k, k_y_max, k_x_max):
         chosen.append(best_label)
         remaining.remove(best_label)
         current_bic = best_bic
-    if not chosen:
-        raise NumericalError("no predictor candidate could be fit")
-    D = [i - 1 for i in chosen]
-    k_x_cap = min([k_x_max, n - 1] + [preds[m][0].grid.size for m in D])
-    k_y, k_x, k_trace = _search_truncation(Y, dec, D, tau, k_y_max, k_x_cap)
-    return SelectionResult(k_y, k_x, tuple(chosen), tuple(trace) + k_trace)
-
-
-def _choose(Y, dec, tau, D, fixed_k, k_y_max, k_x_max) -> tuple:
-    """The model chosen on ``dec``, a ``_decompose`` output of Y and every
-    candidate: forward selection at the default ratio 0.95 when the labels
-    ``D`` are None, otherwise the truncation search on ``D``. Returns the
-    labels, ``k_y``, ``k_x``, the trace and ``dec`` cut to that model, ready
-    for ``_fit_for``."""
     if D is None:
-        sel = _forward_select(Y, dec, tau, 0.95, fixed_k, k_y_max, k_x_max)
-        D, k_y, k_x, trace = sel.chosen_predictors, sel.chosen_k_y, sel.chosen_k_x, sel.bic_trace
-    else:
-        k_y, k_x, trace = _search_truncation(Y, dec, [i - 1 for i in D], tau, k_y_max, k_x_max)
-    response, preds = dec
+        if not chosen:
+            raise NumericalError("no predictor candidate could be fit")
+        D = tuple(chosen)
+    k_y_max = min(k_y_max, n - 1, Y.grid.size)
+    k_x_max = min([k_x_max, n - 1] + [preds[i - 1][0].grid.size for i in D])
+    k_y, k_x, k_trace = _search_truncation(Y, dec, [i - 1 for i in D], tau, k_y_max, k_x_max)
     model_dec = _leading(response, k_y), [_leading(preds[i - 1], k_x) for i in D]
-    return D, k_y, k_x, trace, model_dec
+    return D, k_y, k_x, tuple(trace) + k_trace, model_dec
 
 
 def write_trace_csv(trace, path) -> None:

@@ -16,6 +16,7 @@ from fflqr.bands import (
 from fflqr.errors import NumericalError
 from fflqr.fdata import FunctionalSample, make_uniform_grid, read_sample_csv
 from fflqr.model import fit_fflqr, predict
+from fflqr.simulate import SimConfig, generate_dataset
 from oracles import mspe_naive
 
 
@@ -179,6 +180,19 @@ class TestBootstrapBand:
         np.testing.assert_array_equal(a.lower, b.lower)
         np.testing.assert_array_equal(a.upper, b.upper)
 
+    def test_seed_sequence_is_not_advanced(self):
+        rng = np.random.default_rng(4)
+        Y, x = driven_pair(rng)
+        Y2, x2 = driven_pair(rng, n=6)
+        seed = np.random.SeedSequence(7)
+        a = bootstrap_band(Y, [x], [x2], 0.5, 0.2, 2, 2, R=12, seed=seed)
+        b = bootstrap_band(Y, [x], [x2], 0.5, 0.2, 2, 2, R=12, seed=seed)
+        c = bootstrap_band(Y, [x], [x2], 0.5, 0.2, 2, 2, R=12, seed=7)
+        assert seed.n_children_spawned == 0
+        for band in (b, c):
+            np.testing.assert_array_equal(band.lower, a.lower)
+            np.testing.assert_array_equal(band.upper, a.upper)
+
     def test_different_seed_differs(self):
         rng = np.random.default_rng(5)
         Y, x = driven_pair(rng)
@@ -308,6 +322,30 @@ class TestDirectBand:
         Y, x = driven_pair(rng, n=10)
         with pytest.raises(ValueError, match="alpha"):
             direct_band(Y, [x], [x], 0.0, 2, 2)
+
+
+class TestSignedCoverage:
+    """Pointwise coverage of ``Y_test`` minus the nominal 0.90, signed, for
+    both bands on the true predictors at K=(3,3) (data and bootstrap seed 5,
+    tau=0.5, R=100). Both bands fall short of nominal; see the README."""
+
+    @pytest.mark.parametrize("over, boot, direct", [
+        ({}, 0.3679, 0.6890),
+        ({"error_dist": "chisq1"}, 0.3556, 0.6446),
+        ({"n_train": 30, "sigma": 0.3}, 0.8360, 0.4202),
+    ], ids=["default", "chisq1", "n30-sigma0.3"])
+    def test_both_bands_undercover(self, over, boot, direct):
+        data = generate_dataset(SimConfig(**over), 5)
+        X_tr = [data.X_train[i - 1] for i in (2, 4, 5)]
+        X_te = [data.X_test[i - 1] for i in (2, 4, 5)]
+        bands = (
+            bootstrap_band(data.Y_train, X_tr, X_te, 0.5, 0.1, 3, 3, R=100, seed=5),
+            direct_band(data.Y_train, X_tr, X_te, 0.1, 3, 3),
+        )
+        y = data.Y_test.values
+        gaps = [np.mean((b.lower <= y) & (y <= b.upper)) - 0.90 for b in bands]
+        np.testing.assert_allclose(gaps, [boot - 0.90, direct - 0.90], rtol=0, atol=0.01)
+        assert max(gaps) < 0.0
 
 
 class TestWriteBandCsv:

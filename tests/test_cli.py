@@ -248,6 +248,27 @@ class TestFit:
             predict(got, X_fit).values, want, rtol=0, atol=1e-12 * np.abs(want).max()
         )
 
+    def test_curve_count_mismatch_exits_3(self, tmp_path, capsys):
+        sim = simulate(tmp_path)
+        short = tmp_path / "X4_short.csv"
+        short.write_text("".join((sim / "X4_train.csv").read_text().splitlines(True)[:6]))
+        code = main([
+            "fit", "--y", str(sim / "Y_train.csv"), "--x", str(sim / "X2_train.csv"),
+            str(short), "--ky", "2", "--kx", "2", "--out", str(tmp_path / "f"),
+        ])
+        assert code == 3
+        assert "X4_short.csv holds 5 curves but" in capsys.readouterr().err
+
+    def test_unsolved_problem_exits_4(self, tmp_path, monkeypatch, capsys):
+        sim = simulate(tmp_path)
+        monkeypatch.setattr("fflqr.qreg._MAX_ITER", 1)
+        code = main([
+            "fit", "--y", str(sim / "Y_train.csv"), "--x", str(sim / "X2_train.csv"),
+            "--ky", "2", "--kx", "2", "--out", str(tmp_path / "f"),
+        ])
+        assert code == 4
+        assert "numerical error: response column 0" in capsys.readouterr().err
+
     def test_select_caps_truncation_maxima(self, tmp_path):
         # 120 curves on 100 grid points: the grid size caps --ky-max 300.
         sim = simulate(tmp_path, n_train=120, n_grid=100)
@@ -306,7 +327,18 @@ class TestPredict:
         lambda doc: json.dumps(doc)[:-20],
         lambda doc: json.dumps({k: v for k, v in doc.items() if k != "coefficients"}),
         lambda doc: json.dumps({**doc, "coefficients": doc["coefficients"][:-1]}),
-    ], ids=["truncated-json", "no-coefficients", "wrong-shape"])
+        lambda doc: json.dumps({
+            **doc, "predictor_bases": [], "predictor_indices": [],
+            "coefficients": doc["coefficients"][:1],
+        }),
+        lambda doc: json.dumps({**doc, "predictor_bases": [
+            {**doc["predictor_bases"][0], "mean": None}, *doc["predictor_bases"][1:]
+        ]}),
+        lambda doc: json.dumps({**doc, "coefficients": [
+            [None] * len(row) for row in doc["coefficients"]
+        ]}),
+    ], ids=["truncated-json", "no-coefficients", "wrong-shape", "no-predictor-bases",
+            "null-mean", "null-coefficients"])
     def test_corrupt_model_exits_3(self, tmp_path, command, corrupt):
         sim = simulate(tmp_path)
         fitted = fit_dir(tmp_path, sim)
@@ -383,6 +415,20 @@ class TestInterval:
         assert meta["method"] == "direct"
         assert meta["R"] is None and meta["seed"] is None
         assert 0.0 <= meta["crossing_rate"] <= 1.0
+
+    def test_predictors_on_another_grid_exit_3(self, tmp_path, capsys):
+        sim = simulate(tmp_path)
+        fitted = fit_dir(tmp_path, sim)
+        other = simulate(tmp_path, name="other", n_grid=20)
+        code = main([
+            "interval", "--model", str(fitted / "model.json"),
+            "--x", str(other / "X2_test.csv"), str(other / "X4_test.csv"),
+            "--train-y", str(sim / "Y_train.csv"),
+            "--train-x", str(sim / "X2_train.csv"), str(sim / "X4_train.csv"),
+            "--R", "8", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert "grid does not match" in capsys.readouterr().err
 
     def test_least_squares_model_exits_2(self, tmp_path):
         sim = simulate(tmp_path)
@@ -572,6 +618,17 @@ class TestBadValueExitCodes:
         code = main(["benchmark", "--n-train", "20", "--out", str(tmp_path / "b")])
         assert code == 2
         assert "26 design columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"n_train": 30,', "is not valid JSON"),
+        ("[30, 10]", "must be an object"),
+    ], ids=["invalid-json", "json-list"])
+    def test_benchmark_config_not_an_object_exits_2(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        code = main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "b")])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_benchmark_value_error_exits_2(self, tmp_path, monkeypatch):
         def too_wide(*args, **kwargs):
