@@ -9,7 +9,6 @@ output directory alone. Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import time
@@ -34,13 +33,12 @@ from .model import (
 )
 from .selection import _choose, _widths, write_trace_csv
 from .simulate import (
-    _METRICS,
     ALL_METHODS,
     ALL_MODELS,
     SimConfig,
     generate_dataset,
     run_monte_carlo,
-    write_results_csv,
+    write_study_tables,
 )
 
 
@@ -282,45 +280,11 @@ def cmd_benchmark(args) -> int:
         raise ConfigError(str(exc)) from exc
     done = {r.replicate for r in reports}
     failed = [r for r in range(config.n_replicates) if r not in done]
-    write_results_csv(reports, out / "results.csv")
-    cells = [
-        (r, metric, getattr(r, attr))
-        for r in reports for metric, attr in _METRICS.items()
-        if getattr(r, attr) is not None
-    ]
-
-    with open(out / "summary.csv", "w", encoding="utf-8") as fh:
-        fh.write("method,model,metric,median,iqr,n\n")
-        for model, method, metric in itertools.product(
-            ALL_MODELS, (*ALL_METHODS, "fflqr-direct"), _METRICS
-        ):
-            values = [v for r, m, v in cells
-                      if (r.model, r.method, m) == (model, method, metric)]
-            if values:
-                iqr = np.quantile(values, 0.75) - np.quantile(values, 0.25)
-                fh.write(
-                    f"{method},{model},{metric},{np.median(values):.17g},"
-                    f"{iqr:.17g},{len(values)}\n"
-                )
-
-    with open(out / "long.csv", "w", encoding="utf-8") as fh:
-        fh.write("seed,replicate,method,model,scenario,metric,value\n")
-        for r, metric, value in cells:
-            fh.write(
-                f"{r.seed},{r.replicate},{r.method},{r.model},"
-                f"{r.scenario},{metric},{value:.17g}\n"
-            )
-
+    outputs = write_study_tables(reports, out)
     _write_manifest(
         out, "benchmark",
-        {
-            **config.to_dict(),
-            "methods": methods,
-            "models": models,
-            "alpha": args.alpha,
-        },
-        [args.config] if args.config else [],
-        ["results.csv", "summary.csv", "long.csv"],
+        {**config.to_dict(), "methods": methods, "models": models, "alpha": args.alpha},
+        [args.config] if args.config else [], outputs,
         config.master_seed, started, failed_replicates=failed,
     )
     return 0

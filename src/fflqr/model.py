@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 import scipy.linalg
@@ -125,8 +126,13 @@ def _validate_samples(Y: FunctionalSample, X) -> None:
 
 
 def _resolve_indices(X, predictor_indices):
+    """One distinct positive integer label per entry of ``X`` (1, 2, ... by default)."""
     if predictor_indices is None:
         return tuple(range(1, len(X) + 1))
+    predictor_indices = tuple(predictor_indices)
+    if not all(isinstance(i, Integral) and not isinstance(i, bool) and i >= 1
+               for i in predictor_indices):
+        raise ValueError(f"predictor_indices must be positive integers, got {predictor_indices}")
     predictor_indices = tuple(int(i) for i in predictor_indices)
     if len(predictor_indices) != len(X):
         raise ValueError("predictor_indices length must match the predictor list")
@@ -272,8 +278,9 @@ def _basis_coordinates(sample: FunctionalSample, n_basis: int, order: int):
         coords = scipy.linalg.solve(gram, Bw.T @ sample.values.T, assume_a="pos").T
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"singular B-spline Gram matrix (n_basis={n_basis} too large for "
-            f"a {grid.size}-point grid)"
+            f"singular B-spline Gram matrix: some of the n_basis={n_basis} basis "
+            f"functions have no point of the {grid.size}-point grid of their own "
+            f"in their support"
         ) from exc
     return coords, gram
 
@@ -472,7 +479,7 @@ def load_model(path):
                 _basis_from_json(doc["response_basis"]),
                 bases,
                 np.array(doc["coefficients"], dtype=float),
-                tuple(doc["predictor_indices"]),
+                _resolve_indices(bases, doc["predictor_indices"]),
                 kind,
             )
         if kind == "bspline-ls":
@@ -482,7 +489,7 @@ def load_model(path):
                 tuple(_grid_from_json(g) for g in doc["predictor_grids"]),
                 int(doc["n_basis"]),
                 int(doc["order"]),
-                tuple(doc["predictor_indices"]),
+                _resolve_indices(doc["predictor_grids"], doc["predictor_indices"]),
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"model {path} is malformed ({exc!r})") from exc

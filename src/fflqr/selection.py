@@ -215,10 +215,11 @@ def _widths(Y, X, fixed_k, k_y_max, k_x_max) -> tuple:
 
 def _choose(Y, dec, tau, D, fixed_k, k_y_max, k_x_max, ratio_threshold=0.95) -> tuple:
     """The one model-choice procedure on ``dec``, a ``_decompose`` output of Y and
-    every candidate at least as wide as ``_widths``: forward stages at ``fixed_k``
-    pick the labels when ``D`` is None, then the truncation search runs up to the
-    maxima capped at ``min(n - 1, p)`` over Y and the chosen predictors. Returns
-    the labels, ``k_y``, ``k_x``, the trace and ``dec`` cut to that model."""
+    every candidate: forward stages at ``fixed_k`` pick the labels when ``D`` is
+    None, then the truncation search runs up to the maxima, bounded by the widths
+    of ``dec`` over Y and the chosen predictors (``_widths`` caps those at
+    ``min(n - 1, p)``). Returns the labels, ``k_y``, ``k_x``, the trace and
+    ``dec`` cut to that model."""
     n = Y.n
     response, preds = dec
     trace, chosen, current_bic = [], [], None
@@ -249,8 +250,8 @@ def _choose(Y, dec, tau, D, fixed_k, k_y_max, k_x_max, ratio_threshold=0.95) -> 
         if not chosen:
             raise NumericalError("no predictor candidate could be fit")
         D = tuple(chosen)
-    k_y_max = min(k_y_max, n - 1, Y.grid.size)
-    k_x_max = min([k_x_max, n - 1] + [preds[i - 1][0].grid.size for i in D])
+    k_y_max = min(k_y_max, response[0].n_components)
+    k_x_max = min([k_x_max] + [preds[i - 1][0].n_components for i in D])
     k_y, k_x, k_trace = _search_truncation(Y, dec, [i - 1 for i in D], tau, k_y_max, k_x_max)
     model_dec = _leading(response, k_y), [_leading(preds[i - 1], k_x) for i in D]
     return D, k_y, k_x, tuple(trace) + k_trace, model_dec

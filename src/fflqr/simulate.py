@@ -9,9 +9,11 @@ quantile estimator against its least squares baselines.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -33,13 +35,16 @@ __all__ = [
     "contaminate",
     "generate_dataset",
     "run_monte_carlo",
-    "write_results_csv",
+    "write_study_tables",
     "ALL_METHODS",
     "ALL_MODELS",
 ]
 
 ALL_METHODS = ("fflqr", "fpc-ls", "bspline-ls")
 ALL_MODELS = ("full", "true", "selected")
+# Each model's report rows in table order, one bootstrap seed each: one per
+# estimator, then the check-loss estimator's paired-quantile band.
+_ROWS = (*ALL_METHODS, "fflqr-direct")
 
 
 @dataclass(frozen=True)
@@ -372,8 +377,7 @@ def _replicate_reports(
     data_ss, boot_ss = child.spawn(2)
     data = generate_dataset(config, data_ss)
     scenario = config.label()
-    n_slots = len(ALL_MODELS) * (len(ALL_METHODS) + 1)
-    boot_children = boot_ss.spawn(n_slots)
+    boot_children = boot_ss.spawn(len(ALL_MODELS) * len(_ROWS))
     # One decomposition per training sample: every model and fit slices it.
     Y, X = data.Y_train, data.X_train
     ks = (config.fixed_k, config.k_y_max, config.k_x_max)
@@ -404,7 +408,7 @@ def _replicate_reports(
             err = mspe(data.Y_test_signal, predict(_unwrap(fits[0]), X_te))
             band = None
             if alpha is not None:
-                slot = ALL_MODELS.index(model) * (len(ALL_METHODS) + 1) + ALL_METHODS.index(method)
+                slot = ALL_MODELS.index(model) * len(_ROWS) + _ROWS.index(method)
                 band = bootstrap_band(
                     Y, X_tr, X_te, config.tau, alpha, k_y, k_x,
                     R=config.bootstrap_R, seed=boot_children[slot], method=method,
@@ -509,9 +513,13 @@ def run_monte_carlo(
 _METRICS = {"mspe": "mspe", "cpd": "cpd", "score": "interval_score"}
 
 
-def write_results_csv(reports, path) -> None:
-    """One row per report: seed, replicate, method, model, scenario, metrics."""
-    with open(path, "w", encoding="utf-8") as fh:
+def write_study_tables(reports, out) -> list:
+    """Write ``results.csv`` (one row per report), ``summary.csv`` (median, IQR
+    and count of each computed model × row × metric cell) and ``long.csv`` (one
+    row per computed metric value, in report order) into the directory ``out``;
+    returns their names."""
+    out = Path(out)
+    with open(out / "results.csv", "w", encoding="utf-8") as fh:
         fh.write("seed,replicate,method,model,scenario," + ",".join(_METRICS) + "\n")
         for r in reports:
             values = (getattr(r, attr) for attr in _METRICS.values())
@@ -519,3 +527,24 @@ def write_results_csv(reports, path) -> None:
                 f"{r.seed},{r.replicate},{r.method},{r.model},{r.scenario},"
                 + ",".join("" if v is None else f"{v:.17g}" for v in values) + "\n"
             )
+    cells = [(r, metric, getattr(r, attr)) for r in reports for metric, attr in _METRICS.items()
+             if getattr(r, attr) is not None]
+    with open(out / "summary.csv", "w", encoding="utf-8") as fh:
+        fh.write("method,model,metric,median,iqr,n\n")
+        for model, method, metric in itertools.product(ALL_MODELS, _ROWS, _METRICS):
+            values = [v for r, m, v in cells
+                      if (r.model, r.method, m) == (model, method, metric)]
+            if values:
+                iqr = np.quantile(values, 0.75) - np.quantile(values, 0.25)
+                fh.write(
+                    f"{method},{model},{metric},{np.median(values):.17g},"
+                    f"{iqr:.17g},{len(values)}\n"
+                )
+    with open(out / "long.csv", "w", encoding="utf-8") as fh:
+        fh.write("seed,replicate,method,model,scenario,metric,value\n")
+        for r, metric, value in cells:
+            fh.write(
+                f"{r.seed},{r.replicate},{r.method},{r.model},"
+                f"{r.scenario},{metric},{value:.17g}\n"
+            )
+    return ["results.csv", "summary.csv", "long.csv"]

@@ -292,6 +292,23 @@ class TestBootstrapBand:
         band = bootstrap_band(Y, [x], [x], 0.5, 0.2, 2, 2, R=7)
         assert band.failed_refits == 2
 
+    def test_failed_bspline_refits_are_counted(self, monkeypatch):
+        real, calls = model_mod.fit_bspline_ls, []
+
+        def fit_bspline_ls(Y, X, **kw):
+            calls.append(None)
+            if len(calls) in (3, 6):
+                raise NumericalError("forced")
+            return real(Y, X, **kw)
+
+        # white-noise curves keep every refit's B-spline design at full rank
+        rng = np.random.default_rng(10)
+        g = make_uniform_grid(20, 0.0, 1.0)
+        Y, x = (FunctionalSample(rng.normal(size=(60, 20)), g) for _ in range(2))
+        monkeypatch.setattr(model_mod, "fit_bspline_ls", fit_bspline_ls)
+        band = bootstrap_band(Y, [x], [x], 0.5, 0.2, 2, 2, R=7, method="bspline-ls")
+        assert len(calls) == 7 and band.failed_refits == 2
+
 
 class TestDirectBand:
     def test_bounds_ordered_and_match_quantile_fits(self):

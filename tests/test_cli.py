@@ -337,8 +337,13 @@ class TestPredict:
         lambda doc: json.dumps({**doc, "coefficients": [
             [None] * len(row) for row in doc["coefficients"]
         ]}),
+        *(
+            lambda doc, labels=labels: json.dumps({**doc, "predictor_indices": labels})
+            for labels in ("ab", [0, 1], [1.5, 2], [True, 2], [1, 1])
+        ),
     ], ids=["truncated-json", "no-coefficients", "wrong-shape", "no-predictor-bases",
-            "null-mean", "null-coefficients"])
+            "null-mean", "null-coefficients", "string-labels", "zero-label",
+            "float-label", "bool-label", "repeated-label"])
     def test_corrupt_model_exits_3(self, tmp_path, command, corrupt):
         sim = simulate(tmp_path)
         fitted = fit_dir(tmp_path, sim)

@@ -1,10 +1,14 @@
 """Tests for model fitting, prediction, surfaces, and serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
-from fflqr.errors import RankDeficiencyWarning
-from fflqr.fdata import FunctionalSample, inner_product, make_uniform_grid
+from fflqr.errors import DataError, NumericalError, RankDeficiencyWarning
+from fflqr.fdata import (
+    FunctionalSample, Grid, _trapezoid_weights, inner_product, make_uniform_grid,
+)
 from fflqr.fpca import fpc_decompose, project_scores
 from fflqr.model import (
     _projected_design,
@@ -326,6 +330,17 @@ class TestBsplineLs:
         with pytest.raises(ValueError, match=msg):
             predict(fit, [xs[0], FunctionalSample(xs[1].values[:4], g)])
 
+    def test_grid_points_outside_basis_supports_raise(self):
+        # 12 of 13 points in [0, 0.1]: the basis functions supported on
+        # [0.2, 1] share the one point at 1, so the Gram matrix is singular.
+        rng = np.random.default_rng(24)
+        points = np.append(np.linspace(0.0, 0.1, 12), 1.0)
+        g = Grid(points, _trapezoid_weights(points))
+        x = FunctionalSample(rng.normal(size=(30, 13)), g)
+        Y = FunctionalSample(rng.normal(size=(30, 20)), make_uniform_grid(20, 0.0, 1.0))
+        with pytest.raises(NumericalError, match="no point of the 13-point grid of their own"):
+            fit_bspline_ls(Y, [x], n_basis=8)
+
     def test_predict_on_other_grid_raises(self):
         rng = np.random.default_rng(22)
         Y, x = representable_pair(rng, n=30, p=25)
@@ -365,6 +380,19 @@ class TestSerialization:
         np.testing.assert_allclose(
             predict(back, [x]).values, predict(fit, [x]).values, atol=1e-12
         )
+
+    @pytest.mark.parametrize("labels", ["a", [0], [1.5], [True], [-1]])
+    def test_bspline_bad_labels_raise(self, tmp_path, labels):
+        rng = np.random.default_rng(19)
+        g = make_uniform_grid(25, 0.0, 1.0)
+        (x,) = smooth_predictors(rng, 30, g, m=1)
+        fit = fit_bspline_ls(FunctionalSample(rng.normal(size=(30, 25)), g), [x], n_basis=8)
+        path = tmp_path / "model.json"
+        save_model(fit, path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "predictor_indices": labels}))
+        with pytest.raises(DataError, match="malformed"):
+            load_model(path)
 
     def test_fpc_ls_round_trip(self, tmp_path):
         rng = np.random.default_rng(20)

@@ -372,6 +372,16 @@ class TestStackedSolver:
         else:
             assert not solved[1]
 
+    def test_no_factorable_problem_leaves_all_unsolved(self, monkeypatch):
+        # The core stops once every problem's factorization has failed.
+        rng = np.random.default_rng(65)
+        designs = [np.column_stack([np.ones(30), rng.normal(size=(30, q))]) for q in (1, 3)]
+        monkeypatch.setattr(qreg, "_cholesky", lambda M: (M, np.zeros(len(M), dtype=bool)))
+        coefs, solved = qreg._fit_stack(designs, [rng.normal(size=(30, 2))] * 2, [0.3, 0.7])
+        assert solved.shape == (2, 2, 2) and not solved.any()
+        for design, c in zip(designs, coefs):
+            np.testing.assert_array_equal(c, np.zeros((2, design.shape[1], 2)))
+
     def test_unfactorable_column_is_named(self, monkeypatch):
         rng = np.random.default_rng(63)
         X = np.column_stack([np.ones(40), rng.normal(size=(40, 2))])

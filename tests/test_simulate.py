@@ -23,7 +23,7 @@ from fflqr.simulate import (
     sample_gp,
     squared_exp_kernel,
     true_beta,
-    write_results_csv,
+    write_study_tables,
 )
 
 
@@ -122,6 +122,11 @@ class TestTrueBeta:
         surf = true_beta(4, g, g)
         np.testing.assert_allclose(surf.values[:, 0], 0.0, atol=1e-12)
         np.testing.assert_allclose(surf.values[:, -1], 0.0, atol=1e-12)
+
+    def test_third_surface_hand_value(self):
+        g = make_uniform_grid(5, 0.0, 1.0)
+        surf = true_beta(3, g, g)
+        assert surf.values[2, 2] == pytest.approx(1.0 + 8.0 * np.exp(-5.0), rel=1e-15)
 
     def test_fifth_surface_hand_value(self):
         g = make_uniform_grid(5, 0.0, 1.0)
@@ -463,7 +468,7 @@ class TestResultsCsv:
             MetricsReport(2.0, None, None, "fpc-ls", "full", "desk", 1, 42),
         ]
         path = tmp_path / "results.csv"
-        write_results_csv(reports, path)
+        write_study_tables(reports, tmp_path)
         lines = path.read_text().splitlines()
         assert lines[0] == "seed,replicate,method,model,scenario,mspe,cpd,score"
         assert len(lines) == 3
