@@ -107,8 +107,7 @@ def bootstrap_band(
     refits at the fixed configuration and predicts the test set; bounds are
     the pointwise ``alpha/2`` and ``1 - alpha/2`` quantiles over replicates
     (linear interpolation of order statistics). Each refit decomposes its
-    resample once, at exactly ``(k_y, k_x)``, on the truncated FPCA path
-    that computes only the leading eigenpairs, as ``fit_fflqr`` does; so a
+    resample once, at exactly ``(k_y, k_x)``, as ``fit_fflqr`` does; so a
     refit equals ``fit_fflqr`` on its resample bitwise. The check-loss
     problems of all refits are solved in one stacked call. Refits that fail
     numerically are left out and counted on the band; fewer than ``R/2``

@@ -55,12 +55,10 @@ class FpcBasis:
 def fpc_decompose(sample: FunctionalSample, n_components: int) -> tuple[FpcBasis, np.ndarray]:
     """Extract leading principal components of a functional sample.
 
-    The decomposition comes from the full eigendecomposition of the
-    weighted covariance, so it nests bitwise: the basis of
-    ``fpc_decompose(sample, k)`` is the first ``k`` components of
-    ``fpc_decompose(sample, K)`` for any ``k <= K``. Code that decomposes
-    once at the largest truncation it needs and then slices (``_leading``)
-    relies on this.
+    Only the ``n_components`` leading eigenpairs of the weighted covariance
+    are computed (LAPACK's MRRR driver ``dsyevr``). A slice of a larger
+    decomposition (``_leading``) matches a fresh decomposition at the
+    smaller truncation to rounding.
 
     Parameters
     ----------
@@ -76,21 +74,6 @@ def fpc_decompose(sample: FunctionalSample, n_components: int) -> tuple[FpcBasis
     scores : ndarray, shape (n, K)
         Quadrature projections of the centered curves onto the basis.
     """
-    return _fpca(sample, n_components, truncated=False)
-
-
-def _fpc_top(sample: FunctionalSample, n_components: int) -> tuple[FpcBasis, np.ndarray]:
-    """``fpc_decompose`` computed from the ``n_components`` leading eigenpairs
-    alone (LAPACK's MRRR driver ``dsyevr``), which costs less than the full
-    eigendecomposition when K is much smaller than p. It agrees with
-    ``fpc_decompose`` to rounding but does not nest bitwise, so it serves
-    only decompositions used at exactly the truncation they were taken at
-    and never sliced."""
-    return _fpca(sample, n_components, truncated=True)
-
-
-def _fpca(sample: FunctionalSample, n_components: int, truncated: bool) -> tuple:
-    """The one FPCA body; ``truncated`` selects the eigensolver only."""
     if n_components < 1:
         raise ValueError("n_components must be positive")
     n, p = sample.values.shape
@@ -109,11 +92,8 @@ def _fpca(sample: FunctionalSample, n_components: int, truncated: bool) -> tuple
 
     cov = centered.values.T @ centered.values / n
     sym = sqrt_w[:, None] * cov * sqrt_w[None, :]
-    if truncated:
-        eigvals, eigvecs = scipy.linalg.eigh(sym, subset_by_index=[p - K, p - 1], driver="evr")
-    else:
-        eigvals, eigvecs = np.linalg.eigh(sym)
-    order = np.argsort(eigvals)[::-1][:K]
+    eigvals, eigvecs = scipy.linalg.eigh(sym, subset_by_index=[p - K, p - 1], driver="evr")
+    order = np.argsort(eigvals)[::-1]
     lam = eigvals[order]
     vecs = eigvecs[:, order]
 
@@ -133,9 +113,7 @@ def _fpca(sample: FunctionalSample, n_components: int, truncated: bool) -> tuple
 
 
 def _leading(decomposition: tuple, k: int) -> tuple:
-    """The first ``k`` components of an ``fpc_decompose`` result; only the
-    scores may differ from ``fpc_decompose(sample, k)``, in the last bits.
-    Never slice a ``_fpc_top`` result: it does not nest bitwise."""
+    """The first ``k`` components of an ``fpc_decompose`` result."""
     basis, scores = decomposition
     funcs, lam = basis.eigenfunctions[:k], basis.eigenvalues[:k]
     return replace(basis, eigenfunctions=funcs, eigenvalues=lam), scores[:, :k]

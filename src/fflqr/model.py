@@ -19,7 +19,7 @@ import scipy.linalg
 from .bspline import bspline_design
 from .errors import DataError, NumericalError, _warn_rank
 from .fdata import FunctionalSample, Grid
-from .fpca import FpcBasis, _fpc_top, fpc_decompose, project_scores, reconstruct
+from .fpca import FpcBasis, fpc_decompose, project_scores, reconstruct
 from .qreg import _column_failure, _fit_stack, qr_objective
 
 __all__ = [
@@ -50,7 +50,7 @@ class FflqrFit:
     response_basis : FpcBasis
         K_Y leading components of the response sample.
     predictor_bases : tuple of FpcBasis
-        One K_X-component basis per kept predictor.
+        One K_X-component basis per kept predictor, K_X the same for all.
     coefs : ndarray, shape (1 + sum K_X, K_Y)
         Score regression coefficients; row 0 is the intercept, then one
         block of K_X rows per predictor in design order.
@@ -73,6 +73,8 @@ class FflqrFit:
             raise ValueError("coefficient matrix shape does not match the bases")
         if len(self.predictor_bases) != len(self.predictor_indices):
             raise ValueError("one predictor index per predictor basis required")
+        if len({b.n_components for b in self.predictor_bases}) > 1:
+            raise ValueError("predictor bases must have equal numbers of components")
 
 
 @dataclass(frozen=True)
@@ -141,15 +143,12 @@ def _resolve_indices(X, predictor_indices):
     return predictor_indices
 
 
-def _decompose(Y: FunctionalSample, X, k_y: int, k_xs, truncated: bool = False) -> tuple:
+def _decompose(Y: FunctionalSample, X, k_y: int, k_xs) -> tuple:
     """Validate the samples, then decompose Y at ``k_y`` and each ``X[m]`` at
     ``k_xs[m]`` components: the response ``(basis, scores)`` and a list of
-    ``(basis, scores)``, one per predictor. The decompositions are full and
-    nested (``fpc_decompose``), ready to be sliced by ``_leading``, unless
-    ``truncated`` asks for ``_fpc_top``, which must never be sliced."""
+    ``(basis, scores)``, one per predictor."""
     _validate_samples(Y, X)
-    decompose = _fpc_top if truncated else fpc_decompose
-    return decompose(Y, k_y), [decompose(x, k) for x, k in zip(X, k_xs)]
+    return fpc_decompose(Y, k_y), [fpc_decompose(x, k) for x, k in zip(X, k_xs)]
 
 
 def _design(blocks) -> np.ndarray:
@@ -165,13 +164,10 @@ def _fit_for(method, samples, taus, k_y, k_x, predictor_indices=None, decs=None)
     ``fits[i][j]`` fits sample i at ``taus[j]``, or is the ``NumericalError``
     that stopped it. Score methods solve every sample, level and response
     score in one stacked call. With ``decs`` they fit its ``_decompose``
-    outputs, whose widths then set the truncations: slices of full, nested
-    decompositions, as selection hands over. Without it they decompose each
-    sample at ``(k_y, k_x)`` on the truncated path (``_fpc_top``, leading
-    eigenpairs only), since those decompositions are used at exactly that
-    truncation and never sliced: every bootstrap refit, ``fit_fflqr``,
-    ``fit_fpc_ls`` and ``direct_band``. Least squares methods fit each sample
-    once, whatever the level; ``fpc-ls`` fits carry the label 0.5.
+    outputs, whose widths then set the truncations (selection hands over
+    slices this way); without it they decompose each sample at
+    ``(k_y, k_x)``. Least squares methods fit each sample once, whatever the
+    level; ``fpc-ls`` fits carry the label 0.5.
     """
     if method == "bspline-ls":
         fits = []
@@ -185,7 +181,7 @@ def _fit_for(method, samples, taus, k_y, k_x, predictor_indices=None, decs=None)
     if method not in ("fflqr", "fpc-ls"):
         raise ValueError(f"unknown method {method!r}")
     if decs is None:
-        decs = (_decompose(Y, X, k_y, [k_x] * len(X), truncated=True) for Y, X in samples)
+        decs = (_decompose(Y, X, k_y, [k_x] * len(X)) for Y, X in samples)
     decs = list(decs)
     indices = _resolve_indices(decs[0][1], predictor_indices)
     designs = np.stack([_design(zeta for _, zeta in preds) for _, preds in decs])

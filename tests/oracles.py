@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import linprog
 
+from fflqr.fpca import _EIGVAL_RTOL, FpcBasis
 from fflqr.qreg import check_loss
 
 
@@ -57,3 +58,21 @@ def mspe_naive(true_values, pred_values, points):
             acc += 0.5 * h * (diff2[j] + diff2[j + 1])
         total += acc
     return total / len(true_values)
+
+
+def full_fpca(sample, K):
+    """``fpc_decompose`` from the full eigendecomposition of the weighted
+    covariance (``np.linalg.eigh``), with the same zero cutoff and sign rule."""
+    values, w = sample.values, sample.grid.weights
+    mean = values.mean(axis=0)
+    centered = values - mean
+    sqrt_w = np.sqrt(w)
+    cov = centered.T @ centered / len(values)
+    eigvals, eigvecs = np.linalg.eigh(sqrt_w[:, None] * cov * sqrt_w[None, :])
+    order = np.argsort(eigvals)[::-1][:K]
+    lam, vecs = eigvals[order], eigvecs[:, order]
+    lam = np.where(lam < (_EIGVAL_RTOL * lam[0] if lam[0] > 0.0 else np.inf), 0.0, lam)
+    funcs = (vecs / sqrt_w[:, None]).T
+    peaks = funcs[np.arange(K), np.argmax(np.abs(funcs), axis=1)]
+    funcs = np.where(peaks[:, None] < 0, -funcs, funcs)
+    return FpcBasis(sample.grid, mean, funcs, lam), centered @ (funcs * w).T

@@ -242,27 +242,21 @@ class TestBootstrapBand:
         with pytest.raises(ValueError, match="alpha"):
             bootstrap_band(Y, [x], [x], 0.5, 1.0, 2, 2, R=4)
 
-    def test_refits_decompose_each_resample_once_on_truncated_path(self, monkeypatch):
+    def test_refits_decompose_each_resample_once(self, monkeypatch):
         rng = np.random.default_rng(12)
         Y, x1 = driven_pair(rng)
         _, x2 = driven_pair(rng)
-        calls = {"fpc_decompose": [], "_fpc_top": []}
+        calls = []
+        real = model_mod.fpc_decompose
 
-        def counting(name):
-            real = getattr(model_mod, name)
+        def decompose(sample, n_components):
+            calls.append(sample.values.tobytes())
+            return real(sample, n_components)
 
-            def decompose(sample, n_components):
-                calls[name].append(sample.values.tobytes())
-                return real(sample, n_components)
-
-            return decompose
-
-        for name in calls:
-            monkeypatch.setattr(model_mod, name, counting(name))
+        monkeypatch.setattr(model_mod, "fpc_decompose", decompose)
         R, M = 5, 2
         bootstrap_band(Y, [x1, x2], [x1, x2], 0.5, 0.2, 2, 2, R=R, seed=3)
-        assert calls["fpc_decompose"] == []
-        assert len(calls["_fpc_top"]) == len(set(calls["_fpc_top"])) == R * (1 + M)
+        assert len(calls) == len(set(calls)) == R * (1 + M)
 
     @staticmethod
     def unsolved_at(select):

@@ -14,7 +14,7 @@ import fflqr.simulate as sim_mod
 from fflqr.cli import main
 from fflqr.errors import NumericalError
 from fflqr.fdata import read_sample_csv
-from fflqr.fpca import _fpc_top, fpc_decompose
+from fflqr.fpca import fpc_decompose
 from fflqr.model import fit_fflqr, fit_fpc_ls, load_model, predict, save_model
 from fflqr.selection import forward_select, select_truncation, write_trace_csv
 from fflqr.simulate import SimConfig
@@ -201,15 +201,11 @@ class TestFit:
         sim = simulate(tmp_path)
         calls = []
 
-        def counting(real):
-            def decompose(sample, k):
-                calls.append(k)
-                return real(sample, k)
+        def decompose(sample, k):
+            calls.append(k)
+            return fpc_decompose(sample, k)
 
-            return decompose
-
-        monkeypatch.setattr("fflqr.model.fpc_decompose", counting(fpc_decompose))
-        monkeypatch.setattr("fflqr.model._fpc_top", counting(_fpc_top))
+        monkeypatch.setattr("fflqr.model.fpc_decompose", decompose)
         xs = [str(sim / f"X{m}_train.csv") for m in (1, 2, 4, 5)]
         assert main([
             "fit", "--y", str(sim / "Y_train.csv"), "--x", *xs, flag,
@@ -341,9 +337,18 @@ class TestPredict:
             lambda doc, labels=labels: json.dumps({**doc, "predictor_indices": labels})
             for labels in ("ab", [0, 1], [1.5, 2], [True, 2], [1, 1])
         ),
+        # the last predictor basis cut to one component, with its coefficient row
+        lambda doc: json.dumps({
+            **doc, "coefficients": doc["coefficients"][:-1], "predictor_bases": [
+                *doc["predictor_bases"][:-1],
+                {**doc["predictor_bases"][-1],
+                 "eigenfunctions": doc["predictor_bases"][-1]["eigenfunctions"][:1],
+                 "eigenvalues": doc["predictor_bases"][-1]["eigenvalues"][:1]},
+            ],
+        }),
     ], ids=["truncated-json", "no-coefficients", "wrong-shape", "no-predictor-bases",
             "null-mean", "null-coefficients", "string-labels", "zero-label",
-            "float-label", "bool-label", "repeated-label"])
+            "float-label", "bool-label", "repeated-label", "unequal-widths"])
     def test_corrupt_model_exits_3(self, tmp_path, command, corrupt):
         sim = simulate(tmp_path)
         fitted = fit_dir(tmp_path, sim)

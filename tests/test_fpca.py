@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fflqr.fdata import FunctionalSample, Grid, inner_product, make_uniform_grid
-from fflqr.fpca import _fpc_top, _leading, fpc_decompose, project_scores, reconstruct
+from fflqr.fpca import _leading, fpc_decompose, project_scores, reconstruct
+from oracles import full_fpca
 
 
 def smooth_sample(rng, n, grid, n_harmonics=6, decay=0.6):
@@ -173,21 +174,12 @@ def test_decomposition_invariants(seed, n, p, uniform, repeated):
     assert np.all(big.eigenvalues >= 0)
     assert np.all(np.diff(big.eigenvalues) <= 0)
 
-    # truncation nesting: K components are the first K of a larger decomposition
+    # a fresh k-component decomposition and the k-component slice of a
+    # larger one both match the full-eigendecomposition reference
     k = int(rng.integers(1, k_max + 1))
-    basis, scores = fpc_decompose(sample, k)
-    np.testing.assert_array_equal(basis.eigenfunctions, big.eigenfunctions[:k])
-    np.testing.assert_array_equal(basis.eigenvalues, big.eigenvalues[:k])
-    scale = max(np.abs(big_scores).max(), np.finfo(float).tiny)
-    assert np.abs(scores - big_scores[:, :k]).max() <= 1e-12 * scale
-
-    # the prefix helper gives the same K-component decomposition
-    prefix, prefix_scores = _leading((big, big_scores), k)
-    np.testing.assert_array_equal(prefix.eigenfunctions, basis.eigenfunctions)
-    np.testing.assert_array_equal(prefix.eigenvalues, basis.eigenvalues)
-    np.testing.assert_array_equal(prefix.mean, basis.mean)
-    assert prefix.rank_deficient == basis.rank_deficient
-    assert np.abs(prefix_scores - scores).max() <= 1e-12 * scale
+    reference = full_fpca(sample, k)
+    assert_matches_reference(fpc_decompose(sample, k), reference, sample)
+    assert_matches_reference(_leading((big, big_scores), k), reference, sample)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -210,22 +202,30 @@ def test_truncated_path_matches_full_decomposition(seed, n, p, uniform, repeated
         vals[n // 2:] = vals[: n - n // 2]  # rank-deficient: repeated curves
     sample = FunctionalSample(vals, g)
     K = min(n - 1, p)
-    full, _ = fpc_decompose(sample, K)
-    top, _ = _fpc_top(sample, K)
+    assert_matches_reference(fpc_decompose(sample, K), full_fpca(sample, K), sample)
 
+
+def assert_matches_reference(decomposition, reference, sample):
+    """``decomposition`` agrees with the ``full_fpca`` reference of the same
+    width to rounding, component by component where its eigengap fixes it."""
+    (top, _), (full, _) = decomposition, reference
+    K, p = full.n_components, sample.grid.size
+    k_max = min(sample.n - 1, p)
     lam = full.eigenvalues
+    spectrum = full_fpca(sample, k_max)[0].eigenvalues
     assert np.abs(top.eigenvalues - lam).max() <= 1e-12 * lam[0]
     np.testing.assert_array_equal(top.eigenvalues == 0.0, lam == 0.0)
     assert top.rank_deficient == full.rank_deficient
     np.testing.assert_array_equal(top.mean, full.mean)
-    gram = (top.eigenfunctions * g.weights) @ top.eigenfunctions.T
+    gram = (top.eigenfunctions * sample.grid.weights) @ top.eigenfunctions.T
     np.testing.assert_allclose(gram, np.eye(K), atol=1e-10)
 
     # components with a relative eigengap of at least 1e-6 are determined up
-    # to sign, and the sign convention must pick the same one; past K the
-    # next eigenvalue is 0 when K = n - 1 < p, and absent when K = p
-    neighbours = np.concatenate([[np.inf], lam, [0.0 if K < p else np.inf]])
-    gaps = np.minimum(np.abs(lam - neighbours[:-2]), np.abs(lam - neighbours[2:]))
+    # to sign, and the sign convention must pick the same one; past the
+    # last computed eigenvalue the next is 0 when n - 1 < p, and absent when
+    # all p are computed
+    neighbours = np.concatenate([[np.inf], spectrum, [0.0 if k_max < p else np.inf]])
+    gaps = np.minimum(np.abs(lam - neighbours[:K]), np.abs(lam - neighbours[2:K + 2]))
     for k in np.flatnonzero((gaps >= 1e-6 * lam[0]) & (gaps > 0)):
         f, f_top = full.eigenfunctions[k], top.eigenfunctions[k]
         peak = np.argmax(np.abs(f))

@@ -11,6 +11,7 @@ from fflqr.fdata import (
 )
 from fflqr.fpca import fpc_decompose, project_scores
 from fflqr.model import (
+    _fit_for,
     _projected_design,
     coefficient_surface,
     fit_bspline_ls,
@@ -23,6 +24,7 @@ from fflqr.model import (
     score_objective,
 )
 from fflqr.qreg import QrProblem, qr_fit, qr_fit_multi
+from fflqr.simulate import SimConfig, generate_dataset
 
 
 def smooth_predictors(rng, n, grid, m=2, n_harmonics=5):
@@ -35,6 +37,28 @@ def smooth_predictors(rng, n, grid, m=2, n_harmonics=5):
             vals += 0.7 ** k * rng.normal(size=(n, 1)) * np.cos(np.pi * k * t)
         out.append(FunctionalSample(vals, grid))
     return out
+
+
+# Transforms of the training data under which predictions are invariant.
+# Each gives the training data, the new predictors and an offset such that
+# predictions minus the offset equal those of the untransformed fit.
+def predictor_units(c):
+    def transform(Y, X):
+        scaled = [FunctionalSample(c * x.values, x.grid) for x in X]
+        return Y, scaled, scaled, 0.0
+
+    return transform
+
+
+def response_location(Y, X):
+    curve = np.cos(5 * Y.grid.points)
+    return FunctionalSample(Y.values + curve, Y.grid), X, X, curve
+
+
+def row_order(Y, X):
+    order = np.random.default_rng(26).permutation(Y.n)
+    permuted = [FunctionalSample(s.values[order], s.grid) for s in (Y, *X)]
+    return permuted[0], permuted[1:], X, 0.0
 
 
 def representable_pair(rng, n=40, p=30, k_y=2, k_x=3):
@@ -121,17 +145,48 @@ class TestFitFflqr:
             prev = total
 
 
-    @pytest.mark.parametrize("c", [1e-8, 1e-4, 1e4, 1e8])
-    def test_predictions_do_not_depend_on_response_units(self, c):
+    @staticmethod
+    def skewed_data():
         rng = np.random.default_rng(25)
         g = make_uniform_grid(30, 0.0, 1.0)
         x, z = smooth_predictors(rng, 80, g, m=2)
         Y = FunctionalSample(
             x.values[:, ::-1] - 0.5 * z.values + rng.chisquare(1, size=(80, 30)), g
         )
-        base = predict(fit_fflqr(Y, [x, z], 0.9, 3, 3), [x, z]).values
-        scaled = predict(fit_fflqr(FunctionalSample(c * Y.values, g), [x, z], 0.9, 3, 3), [x, z])
+        return Y, [x, z]
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-4, 1e4, 1e8])
+    def test_predictions_do_not_depend_on_response_units(self, c):
+        Y, X = self.skewed_data()
+        base = predict(fit_fflqr(Y, X, 0.9, 3, 3), X).values
+        scaled = predict(fit_fflqr(FunctionalSample(c * Y.values, Y.grid), X, 0.9, 3, 3), X)
         np.testing.assert_allclose(scaled.values / c, base, rtol=0, atol=1e-8 * np.abs(base).max())
+
+    @pytest.mark.parametrize(
+        "transform",
+        [predictor_units(1e-8), predictor_units(1e8), response_location, row_order],
+        ids=["predictor-units-1e-08", "predictor-units-1e+08", "response-location", "row-order"],
+    )
+    def test_predictions_are_invariant(self, transform):
+        Y, X = self.skewed_data()
+        base = predict(fit_fflqr(Y, X, 0.9, 3, 3), X).values
+        Y_t, X_t, X_new, offset = transform(Y, X)
+        moved = predict(fit_fflqr(Y_t, X_t, 0.9, 3, 3), X_new).values - offset
+        np.testing.assert_allclose(moved, base, rtol=0, atol=1e-8 * np.abs(base).max())
+
+    def test_centroid_quantiles_nondecrease_in_tau(self):
+        # The design's score columns are centered, so the intercept of each
+        # response score is its fitted tau-quantile at the centroid, which
+        # cannot decrease in tau. One call solves all 19 levels in one stack;
+        # the slack is relative to each score's largest intercept (the worst
+        # step measured on this and other seeds was -3.7e-11).
+        config = SimConfig()
+        data = generate_dataset(config, np.random.SeedSequence(5))
+        X = [data.X_train[i - 1] for i in config.significant]
+        taus = np.linspace(0.05, 0.95, 19)
+        (fits,) = _fit_for("fflqr", [(data.Y_train, X)], taus, 3, 3)
+        intercepts = np.array([fit.coefs[0] for fit in fits])
+        assert np.all(np.diff(intercepts, axis=0) >= -1e-9 * np.abs(intercepts).max(axis=0))
 
     def test_predictor_curve_count_mismatch_raises(self):
         rng = np.random.default_rng(24)

@@ -388,16 +388,13 @@ class TestRunMonteCarlo:
     @pytest.mark.filterwarnings("ignore::fflqr.errors.RankDeficiencyWarning")
     def test_one_decomposition_per_training_sample(self, monkeypatch):
         decomposed = []
+        real = model_mod.fpc_decompose
 
-        def counting(real):
-            def decompose(sample, n_components):
-                decomposed.append(sample.values.tobytes())
-                return real(sample, n_components)
+        def decompose(sample, n_components):
+            decomposed.append(sample.values.tobytes())
+            return real(sample, n_components)
 
-            return decompose
-
-        for name in ("fpc_decompose", "_fpc_top"):
-            monkeypatch.setattr(model_mod, name, counting(getattr(model_mod, name)))
+        monkeypatch.setattr(model_mod, "fpc_decompose", decompose)
         config = tiny_config(n_replicates=1)
         reports = run_monte_carlo(config)
         assert len(reports) == len(sim_mod.ALL_METHODS) * len(sim_mod.ALL_MODELS)
@@ -407,16 +404,13 @@ class TestRunMonteCarlo:
     @pytest.mark.filterwarnings("ignore::fflqr.errors.RankDeficiencyWarning")
     def test_paired_band_decomposes_no_sample_twice(self, monkeypatch):
         decomposed = []
+        real = model_mod.fpc_decompose
 
-        def counting(real):
-            def decompose(sample, n_components):
-                decomposed.append(sample.values.tobytes())
-                return real(sample, n_components)
+        def decompose(sample, n_components):
+            decomposed.append(sample.values.tobytes())
+            return real(sample, n_components)
 
-            return decompose
-
-        for name in ("fpc_decompose", "_fpc_top"):
-            monkeypatch.setattr(model_mod, name, counting(getattr(model_mod, name)))
+        monkeypatch.setattr(model_mod, "fpc_decompose", decompose)
         reports = run_monte_carlo(
             tiny_config(n_replicates=1), methods=("fflqr",), alpha=0.1
         )
