@@ -103,15 +103,15 @@ def bootstrap_band(
 ) -> PredictionBand:
     """Case-resampling bootstrap band around the test predictions.
 
-    Each of the ``R`` replicates resamples training rows with replacement,
-    refits at the fixed configuration and predicts the test set; bounds are
-    the pointwise ``alpha/2`` and ``1 - alpha/2`` quantiles over replicates
-    (linear interpolation of order statistics). Each refit decomposes its
-    resample once, at exactly ``(k_y, k_x)``, as ``fit_fflqr`` does; so a
-    refit equals ``fit_fflqr`` on its resample bitwise. The check-loss
-    problems of all refits are solved in one stacked call. Refits that fail
-    numerically are left out and counted on the band; fewer than ``R/2``
-    successes raise ``NumericalError``.
+    Each of the ``R`` replicates draws training rows with replacement,
+    refits at the fixed configuration on those rows and predicts the test
+    set; bounds are the pointwise ``alpha/2`` and ``1 - alpha/2`` quantiles
+    over replicates (linear interpolation of order statistics). A score
+    refit decomposes its rows once, at exactly ``(k_y, k_x)``, so it equals
+    ``fit_fflqr`` on its resample bitwise; all check-loss problems are
+    solved in one stacked call. B-spline refits share one coordinate pass.
+    Refits that fail numerically are left out and counted on the band;
+    fewer than ``R/2`` successes raise ``NumericalError``.
 
     The bounds are quantiles of re-estimated tau-quantile curves, so the band
     covers the spread of the estimated quantile curve, not new response
@@ -141,17 +141,8 @@ def bootstrap_band(
     children = np.random.SeedSequence(
         seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size
     ).spawn(R)
-
-    def resamples():
-        # One resample at a time: only its decomposition outlives it.
-        for child in children:
-            rows = np.random.default_rng(child).integers(0, n, size=n)
-            yield (
-                FunctionalSample(Y_train.values[rows], Y_train.grid),
-                [FunctionalSample(x.values[rows], x.grid) for x in X_train],
-            )
-
-    fits = [fit for (fit,) in _fit_for(method, resamples(), [tau], k_y, k_x)]
+    rows = [np.random.default_rng(child).integers(0, n, size=n) for child in children]
+    fits = [fit for (fit,) in _fit_for(method, Y_train, X_train, [tau], k_y, k_x, rows=rows)]
     preds = [
         predict(fit, X_test).values for fit in fits if not isinstance(fit, NumericalError)
     ]
@@ -185,7 +176,7 @@ def direct_band(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
-    (fits,) = _fit_for("fflqr", [(Y_train, X_train)], [alpha / 2, 1 - alpha / 2], k_y, k_x)
+    (fits,) = _fit_for("fflqr", Y_train, X_train, [alpha / 2, 1 - alpha / 2], k_y, k_x)
     return _paired_band(fits, X_test, alpha, Y_train.grid)
 
 

@@ -170,7 +170,7 @@ def cmd_fit(args) -> int:
         else:
             k_y, k_x = args.ky, args.kx
         X_fit = [X[i - 1] for i in indices]
-        fit = _unwrap(_fit_for("fflqr", [(Y, X_fit)], [args.tau], k_y, k_x, indices, decs)[0][0])
+        fit = _unwrap(_fit_for("fflqr", Y, X_fit, [args.tau], k_y, k_x, indices, decs)[0][0])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     save_model(fit, out / "model.json")
@@ -219,6 +219,8 @@ def cmd_interval(args) -> int:
         raise ConfigError(f"--alpha must lie strictly inside (0, 1), got {args.alpha}")
     if args.method == "bootstrap" and args.R < 2:
         raise ConfigError(f"--R must be at least 2, got {args.R}")
+    if args.method == "bootstrap" and args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     if len(args.train_x) != len(args.x):
         raise DataError(f"{len(args.train_x)} --train-x CSVs for {len(args.x)} --x CSVs")
     out = _out_dir(args.out)

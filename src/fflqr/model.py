@@ -127,13 +127,17 @@ def _validate_samples(Y: FunctionalSample, X) -> None:
             )
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer; a ``bool`` is not."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _resolve_indices(X, predictor_indices):
     """One distinct positive integer label per entry of ``X`` (1, 2, ... by default)."""
     if predictor_indices is None:
         return tuple(range(1, len(X) + 1))
     predictor_indices = tuple(predictor_indices)
-    if not all(isinstance(i, Integral) and not isinstance(i, bool) and i >= 1
-               for i in predictor_indices):
+    if not all(_is_int(i) and i >= 1 for i in predictor_indices):
         raise ValueError(f"predictor_indices must be positive integers, got {predictor_indices}")
     predictor_indices = tuple(int(i) for i in predictor_indices)
     if len(predictor_indices) != len(X):
@@ -143,11 +147,12 @@ def _resolve_indices(X, predictor_indices):
     return predictor_indices
 
 
-def _decompose(Y: FunctionalSample, X, k_y: int, k_xs) -> tuple:
-    """Validate the samples, then decompose Y at ``k_y`` and each ``X[m]`` at
-    ``k_xs[m]`` components: the response ``(basis, scores)`` and a list of
-    ``(basis, scores)``, one per predictor."""
+def _decompose(Y: FunctionalSample, X, k_y: int, k_xs, rows=slice(None)) -> tuple:
+    """Validate the samples, then decompose their ``rows`` of Y at ``k_y`` and
+    of each ``X[m]`` at ``k_xs[m]`` components: the response ``(basis, scores)``
+    and a list of ``(basis, scores)``, one per predictor."""
     _validate_samples(Y, X)
+    Y, *X = (FunctionalSample(s.values[rows], s.grid) for s in (Y, *X))
     return fpc_decompose(Y, k_y), [fpc_decompose(x, k) for x, k in zip(X, k_xs)]
 
 
@@ -157,31 +162,33 @@ def _design(blocks) -> np.ndarray:
     return np.hstack([np.ones((blocks[0].shape[0], 1))] + blocks)
 
 
-def _fit_for(method, samples, taus, k_y, k_x, predictor_indices=None, decs=None) -> list:
-    """Fit one of the three estimators by name to each ``(Y, X)`` pair of
-    ``samples`` at each level of ``taus``; the only method dispatch.
+def _fit_for(method, Y, X, taus, k_y, k_x, predictor_indices=None, decs=None,
+             rows=(slice(None),)) -> list:
+    """Fit one of the three estimators by name to each row set of the
+    training sample ``(Y, X)`` at each level of ``taus``; the only method
+    dispatch.
 
-    ``fits[i][j]`` fits sample i at ``taus[j]``, or is the ``NumericalError``
-    that stopped it. Score methods solve every sample, level and response
-    score in one stacked call. With ``decs`` they fit its ``_decompose``
-    outputs, whose widths then set the truncations (selection hands over
-    slices this way); without it they decompose each sample at
-    ``(k_y, k_x)``. Least squares methods fit each sample once, whatever the
-    level; ``fpc-ls`` fits carry the label 0.5.
+    ``rows`` holds one row-index array per fit (a bootstrap resample, say);
+    by default the whole sample is fit once. ``fits[i][j]`` fits row set i
+    at ``taus[j]``, or is the ``NumericalError`` that stopped it. Score
+    methods decompose each row set at ``(k_y, k_x)``, or fit the
+    ``_decompose`` outputs ``decs`` (selection hands over slices this way),
+    and solve every fit, level and response score in one stacked call. The
+    B-spline method expands the curves once and solves each row set on its
+    rows. Least squares fits ignore the level; ``fpc-ls`` fits carry 0.5.
     """
     if method == "bspline-ls":
-        fits = []
-        for Y, X in samples:
-            try:
-                fit = fit_bspline_ls(Y, X, predictor_indices=predictor_indices)
-            except NumericalError as exc:
-                fit = exc
-            fits.append([fit] * len(taus))
-        return fits
+        # Its one numerical failure, a singular Gram matrix, depends on the grid alone.
+        try:
+            fits = _fit_bspline(Y, X, rows, predictor_indices=predictor_indices)
+        except NumericalError as exc:
+            fits = [exc] * len(rows)
+        return [[fit] * len(taus) for fit in fits]
     if method not in ("fflqr", "fpc-ls"):
         raise ValueError(f"unknown method {method!r}")
     if decs is None:
-        decs = (_decompose(Y, X, k_y, [k_x] * len(X)) for Y, X in samples)
+        # One row set at a time: only its decomposition outlives it.
+        decs = (_decompose(Y, X, k_y, [k_x] * len(X), r) for r in rows)
     decs = list(decs)
     indices = _resolve_indices(decs[0][1], predictor_indices)
     designs = np.stack([_design(zeta for _, zeta in preds) for _, preds in decs])
@@ -237,7 +244,7 @@ def fit_fflqr(
     -------
     FflqrFit
     """
-    return _unwrap(_fit_for("fflqr", [(Y, X)], [tau], k_y, k_x, predictor_indices)[0][0])
+    return _unwrap(_fit_for("fflqr", Y, X, [tau], k_y, k_x, predictor_indices)[0][0])
 
 
 def fit_fpc_ls(
@@ -248,7 +255,7 @@ def fit_fpc_ls(
     predictor_indices=None,
 ) -> FflqrFit:
     """Least squares counterpart of ``fit_fflqr`` on the same score design."""
-    return _unwrap(_fit_for("fpc-ls", [(Y, X)], [0.5], k_y, k_x, predictor_indices)[0][0])
+    return _unwrap(_fit_for("fpc-ls", Y, X, [0.5], k_y, k_x, predictor_indices)[0][0])
 
 
 def _ls_solve(design: np.ndarray, responses: np.ndarray) -> np.ndarray:
@@ -295,6 +302,22 @@ def _bspline_design(X, grids, n_basis: int, order: int) -> np.ndarray:
     return _design(blocks)
 
 
+def _fit_bspline(Y, X, rows, n_basis: int = 20, order: int = 4, predictor_indices=None) -> list:
+    """One ``BsplineLsFit`` per row set of ``(Y, X)``. A curve's coordinates
+    depend on that curve alone, so all curves are expanded once."""
+    if not 2 <= order <= n_basis:
+        raise ValueError("need order >= 2 and n_basis >= order")
+    if n_basis > Y.grid.size:
+        raise ValueError("n_basis exceeds the number of response grid points")
+    _validate_samples(Y, X)
+    indices = _resolve_indices(X, predictor_indices)
+    grids = tuple(x.grid for x in X)
+    d_resp, _ = _basis_coordinates(Y, n_basis, order)
+    design = _bspline_design(X, grids, n_basis, order)
+    return [BsplineLsFit(_ls_solve(design[r], d_resp[r]), Y.grid, grids, n_basis, order, indices)
+            for r in rows]
+
+
 def fit_bspline_ls(
     Y: FunctionalSample,
     X,
@@ -308,17 +331,7 @@ def fit_bspline_ls(
     clamped B-spline basis; the bivariate coefficient surfaces live in the
     tensor product of the predictor and response bases.
     """
-    if not 2 <= order <= n_basis:
-        raise ValueError("need order >= 2 and n_basis >= order")
-    if n_basis > Y.grid.size:
-        raise ValueError("n_basis exceeds the number of response grid points")
-    _validate_samples(Y, X)
-    indices = _resolve_indices(X, predictor_indices)
-
-    grids = tuple(x.grid for x in X)
-    d_resp, _ = _basis_coordinates(Y, n_basis, order)
-    theta = _ls_solve(_bspline_design(X, grids, n_basis, order), d_resp)
-    return BsplineLsFit(theta, Y.grid, grids, n_basis, order, indices)
+    return _fit_bspline(Y, X, [slice(None)], n_basis, order, predictor_indices)[0]
 
 
 def _check_predictors(X, count: int) -> None:

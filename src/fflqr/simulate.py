@@ -20,7 +20,7 @@ import numpy as np
 from .bands import MetricsReport, _paired_band, bootstrap_band, cpd, interval_score, mspe
 from .errors import ConfigError, NumericalError
 from .fdata import FunctionalSample, Grid, make_uniform_grid
-from .model import CoefficientSurface, _decompose, _fit_for, _unwrap, predict
+from .model import CoefficientSurface, _decompose, _fit_for, _is_int, _unwrap, predict
 from .selection import _choose, _widths
 
 __all__ = [
@@ -80,6 +80,11 @@ class SimConfig:
     scenario: str = ""
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type in ("int", int) and not _is_int(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.n_train < 2 or self.n_test < 1:
             raise ConfigError("n_train must be >= 2 and n_test >= 1")
         if self.n_grid < 2:
@@ -103,8 +108,8 @@ class SimConfig:
         if self.n_replicates < 1:
             raise ConfigError("n_replicates must be at least 1")
         object.__setattr__(self, "significant", tuple(self.significant))
-        if any(not 1 <= m <= self.M for m in self.significant):
-            raise ConfigError("significant predictor labels must lie in 1..M")
+        if not all(_is_int(m) and 1 <= m <= self.M for m in self.significant):
+            raise ConfigError("significant predictor labels must be integers in 1..M")
         if self.fixed_k < 1 or self.k_y_max < 1 or self.k_x_max < 1:
             raise ConfigError("truncation settings must be at least 1")
         if self.bootstrap_R < 2:
@@ -404,7 +409,7 @@ def _replicate_reports(
                 continue
             paired = method == "fflqr" and alpha is not None
             taus = [config.tau] + ([alpha / 2.0, 1.0 - alpha / 2.0] if paired else [])
-            (fits,) = _fit_for(method, [(Y, X_tr)], taus, k_y, k_x, D, [model_dec])
+            (fits,) = _fit_for(method, Y, X_tr, taus, k_y, k_x, D, [model_dec])
             err = mspe(data.Y_test_signal, predict(_unwrap(fits[0]), X_te))
             band = None
             if alpha is not None:

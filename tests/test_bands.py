@@ -14,8 +14,8 @@ from fflqr.bands import (
     write_band_csv,
 )
 from fflqr.errors import NumericalError
-from fflqr.fdata import FunctionalSample, make_uniform_grid, read_sample_csv
-from fflqr.model import fit_fflqr, predict
+from fflqr.fdata import FunctionalSample, Grid, make_uniform_grid, read_sample_csv
+from fflqr.model import fit_bspline_ls, fit_fflqr, predict
 from fflqr.simulate import SimConfig, generate_dataset
 from oracles import mspe_naive
 
@@ -221,6 +221,26 @@ class TestBootstrapBand:
         np.testing.assert_array_equal(band.lower, np.quantile(stack, 0.25, axis=0))
         np.testing.assert_array_equal(band.upper, np.quantile(stack, 0.75, axis=0))
 
+    def test_bspline_matches_manual_replicates(self):
+        # the B-spline refits solve on rows of one expansion of the training
+        # curves; replaying them as fresh fits to resampled curves agrees.
+        # White-noise curves keep every refit's design at full rank.
+        rng = np.random.default_rng(6)
+        g = make_uniform_grid(20, 0.0, 1.0)
+        Y, x, x2 = (FunctionalSample(rng.normal(size=(n, 20)), g) for n in (60, 60, 5))
+        R, seed = 5, 9
+        band = bootstrap_band(Y, [x], [x2], 0.5, 0.5, 2, 2, R=R, seed=seed, method="bspline-ls")
+        children = np.random.SeedSequence(seed).spawn(R)
+        preds = []
+        for r in range(R):
+            rows = np.random.default_rng(children[r]).integers(0, Y.n, size=Y.n)
+            Y_r = FunctionalSample(Y.values[rows], Y.grid)
+            X_r = [FunctionalSample(x.values[rows], x.grid)]
+            preds.append(predict(fit_bspline_ls(Y_r, X_r), [x2]).values)
+        stack = np.stack(preds)
+        np.testing.assert_allclose(band.lower, np.quantile(stack, 0.25, axis=0), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(band.upper, np.quantile(stack, 0.75, axis=0), rtol=1e-12, atol=0)
+
     def test_wider_alpha_band_nests_inside_narrower(self):
         rng = np.random.default_rng(7)
         Y, x = driven_pair(rng)
@@ -235,6 +255,16 @@ class TestBootstrapBand:
         Y, x = driven_pair(rng, n=10)
         with pytest.raises(ValueError, match="R must be at least 2"):
             bootstrap_band(Y, [x], [x], 0.5, 0.2, 2, 2, R=1)
+
+    @pytest.mark.parametrize("method", ["fflqr", "bspline-ls"])
+    def test_predictor_curve_count_mismatch_raises(self, method):
+        # rows are drawn for the response, so a longer predictor sample must
+        # be refused before any rows are taken, not cut to the drawn rows
+        rng = np.random.default_rng(9)
+        Y, x = driven_pair(rng, n=30)
+        _, longer = driven_pair(rng, n=40)
+        with pytest.raises(ValueError, match="predictor sample 1 has 40 curves"):
+            bootstrap_band(Y, [longer], [x], 0.5, 0.2, 2, 2, R=4, method=method)
 
     def test_alpha_out_of_range_raises(self):
         rng = np.random.default_rng(9)
@@ -286,22 +316,15 @@ class TestBootstrapBand:
         band = bootstrap_band(Y, [x], [x], 0.5, 0.2, 2, 2, R=7)
         assert band.failed_refits == 2
 
-    def test_failed_bspline_refits_are_counted(self, monkeypatch):
-        real, calls = model_mod.fit_bspline_ls, []
-
-        def fit_bspline_ls(Y, X, **kw):
-            calls.append(None)
-            if len(calls) in (3, 6):
-                raise NumericalError("forced")
-            return real(Y, X, **kw)
-
-        # white-noise curves keep every refit's B-spline design at full rank
+    def test_singular_bspline_grid_fails_every_refit(self):
+        # 24 of 25 points in [0, 0.1]: most of the 20 basis functions have no
+        # grid point of their own, and the Gram matrix depends on the grid
+        # alone, so every refit fails and the band is refused
         rng = np.random.default_rng(10)
-        g = make_uniform_grid(20, 0.0, 1.0)
-        Y, x = (FunctionalSample(rng.normal(size=(60, 20)), g) for _ in range(2))
-        monkeypatch.setattr(model_mod, "fit_bspline_ls", fit_bspline_ls)
-        band = bootstrap_band(Y, [x], [x], 0.5, 0.2, 2, 2, R=7, method="bspline-ls")
-        assert len(calls) == 7 and band.failed_refits == 2
+        g = Grid.from_points(np.append(np.linspace(0.0, 0.1, 24), 1.0))
+        Y, x = (FunctionalSample(rng.normal(size=(40, 25)), g) for _ in range(2))
+        with pytest.raises(NumericalError, match="only 0 of 6 bootstrap refits succeeded"):
+            bootstrap_band(Y, [x], [x], 0.5, 0.2, 2, 2, R=6, method="bspline-ls")
 
 
 class TestDirectBand:

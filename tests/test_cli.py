@@ -117,6 +117,10 @@ class TestSimulate:
         missing = tmp_path / "nope.json"
         assert main(["simulate", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        assert main(["simulate", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+        assert "master_seed must be nonnegative" in capsys.readouterr().err
+
 
 class TestFit:
     def test_fixed_truncation_outputs(self, tmp_path):
@@ -584,10 +588,12 @@ class TestBadValueExitCodes:
         ("interval", ["--train-x", "X2_train.csv", "--method", "direct"], 3),
         ("benchmark", ["--alpha", "1.5"], 2),
         ("benchmark", ["--n-train", "2"], 2),
+        ("interval", ["--seed", "-1"], 2),
     ], ids=[
         "interval-R-1", "bootstrap-alpha-1.5", "bootstrap-alpha-0",
         "direct-alpha-1.5", "direct-alpha-0", "bootstrap-train-x-count",
         "direct-train-x-count", "benchmark-alpha-1.5", "benchmark-n-train-2",
+        "bootstrap-seed-negative",
     ])
     def test_exit_code(self, tmp_path, command, flags, code):
         if command == "interval":

@@ -184,7 +184,7 @@ class TestFitFflqr:
         data = generate_dataset(config, np.random.SeedSequence(5))
         X = [data.X_train[i - 1] for i in config.significant]
         taus = np.linspace(0.05, 0.95, 19)
-        (fits,) = _fit_for("fflqr", [(data.Y_train, X)], taus, 3, 3)
+        (fits,) = _fit_for("fflqr", data.Y_train, X, taus, 3, 3)
         intercepts = np.array([fit.coefs[0] for fit in fits])
         assert np.all(np.diff(intercepts, axis=0) >= -1e-9 * np.abs(intercepts).max(axis=0))
 

@@ -248,6 +248,16 @@ class TestSimConfig:
             (dict(significant=(0,)), "significant"),
             (dict(ou_theta=0.0), "ou_theta"),
             (dict(n_replicates=0), "n_replicates"),
+            (dict(n_train=40.5), "n_train must be an integer"),
+            (dict(n_grid=30.0), "n_grid must be an integer"),
+            (dict(n_replicates=1.5), "n_replicates must be an integer"),
+            (dict(fixed_k=2.0), "fixed_k must be an integer"),
+            (dict(bootstrap_R=10.5), "bootstrap_R must be an integer"),
+            (dict(M=True), "M must be an integer"),
+            (dict(master_seed=1.5), "master_seed must be an integer"),
+            (dict(master_seed=-1), "master_seed must be nonnegative"),
+            (dict(significant=(2.5, 4)), "significant predictor labels must be integers"),
+            (dict(significant=(True, 4)), "significant predictor labels must be integers"),
         ],
     )
     def test_rejects_bad_values(self, kw, msg):
