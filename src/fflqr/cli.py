@@ -24,8 +24,7 @@ from .fdata import read_sample_csv, write_sample_csv
 from .model import (
     FflqrFit,
     _decompose,
-    _fit_for,
-    _unwrap,
+    fit_fflqr,
     load_model,
     predict,
     save_model,
@@ -151,26 +150,26 @@ def cmd_fit(args) -> int:
 
     # Values the data cannot support (tau outside (0, 1), truncations above
     # the covariance rank) surface as ValueError from the fitting layers.
-    # --tune and --select decompose each sample once and fit a slice of it.
+    # --tune and --select decompose each sample once, and the fit is the
+    # search's own solve of the chosen model.
     try:
-        indices, decs = tuple(range(1, len(X) + 1)), None
+        indices = tuple(range(1, len(X) + 1))
         if args.select or args.tune:
             if args.select:
                 indices, widths = None, _widths(Y, X, args.fixed_k, args.ky_max, args.kx_max)
             else:
                 widths = args.ky_max, [args.kx_max] * len(X)
-            indices, k_y, k_x, trace, dec = _choose(
+            indices, k_y, k_x, trace, _, fit = _choose(
                 Y, _decompose(Y, X, *widths), args.tau, indices,
                 args.fixed_k, args.ky_max, args.kx_max,
             )
             name = "selection_trace.csv" if args.select else "bic_trace.csv"
             write_trace_csv(trace, out / name)
             outputs.append(name)
-            decs = [dec]
         else:
             k_y, k_x = args.ky, args.kx
+            fit = fit_fflqr(Y, X, args.tau, k_y, k_x)
         X_fit = [X[i - 1] for i in indices]
-        fit = _unwrap(_fit_for("fflqr", Y, X_fit, [args.tau], k_y, k_x, indices, decs)[0][0])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     save_model(fit, out / "model.json")

@@ -114,17 +114,28 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
+def _over(v: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """``v / rate`` where ``rate > 0``; +inf, or NaN for a zero ``v`` or a NaN
+    ``rate``, elsewhere. Overwrites the temporary ``rate``, which must not
+    hold -0.0 (that would give -inf)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(v, np.maximum(rate, 0.0, out=rate), out=rate)
+
+
 def _step(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """Per row, the largest alpha keeping ``v + alpha * dv`` nonnegative."""
-    ratio = np.divide(-v, dv, out=np.full_like(v, np.inf), where=dv < 0)
-    return ratio.min(axis=1)
+    """Per row, the largest alpha keeping ``v + alpha * dv`` nonnegative, for
+    positive ``v``: the least ``v / -dv`` over the entries with ``dv < 0``,
+    +inf when there are none. Each quotient is the IEEE ``-v / dv``; ``fmin``
+    skips the NaN of a zero ``v`` over a zero direction, or of a NaN
+    direction. ``0.0 - dv`` is +0.0 for ``dv = ±0``."""
+    return np.fmin.reduce(_over(v, 0.0 - dv), axis=1, initial=np.inf)
 
 
 def _box_step(a: np.ndarray, s: np.ndarray, da: np.ndarray) -> np.ndarray:
-    """``min(_step(a, da), _step(s, -da))`` in one pass; ``-s / -da == s / da``."""
-    ratio = np.divide(-a, da, out=np.full_like(a, np.inf), where=da < 0)
-    np.divide(s, da, out=ratio, where=da > 0)
-    return ratio.min(axis=1)
+    """``min(_step(a, da), _step(s, -da))`` in one reduction; ``da + 0.0`` is
+    +0.0 for ``da = ±0``."""
+    ratios = np.fmin(_over(a, 0.0 - da), _over(s, da + 0.0))
+    return np.fmin.reduce(ratios, axis=1, initial=np.inf)
 
 
 def _cholesky(M: np.ndarray) -> tuple:

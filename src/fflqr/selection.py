@@ -10,7 +10,7 @@ import numpy as np
 from .errors import NumericalError
 from .fdata import FunctionalSample
 from .fpca import _leading
-from .model import _decompose, _design, _unwrap
+from .model import FflqrFit, _decompose, _design, _unwrap
 from .qreg import _column_failure, _fit_stack, check_loss
 
 __all__ = [
@@ -74,14 +74,15 @@ def log_loss_norm(Y: FunctionalSample, fitted: FunctionalSample, tau: float) -> 
     return float(np.sqrt(np.sum(Y.grid.weights * log_loss**2)))
 
 
-def _losses(Y: FunctionalSample, dec, candidates, tau: float, k_y_max: int) -> list:
+def _losses(Y: FunctionalSample, dec, candidates, tau: float, k_y_max: int) -> tuple:
     """Per ``(D, k_x)`` candidate, ``log_loss_norm`` at ``k_y = 1..k_y_max``
     on predictor positions ``D`` at ``k_x``, or the ``NumericalError`` naming
-    its unsolved response column; all candidates share one stacked solve."""
+    its unsolved response column; and per candidate, its (q, k_y_max)
+    coefficients. All candidates share one stacked solve."""
     (basis, xi), preds = dec
     designs = [_design(preds[m][1][:, :k_x] for m in D) for D, k_x in candidates]
     coefs, solved = _fit_stack(designs, [xi[:, :k_y_max]] * len(designs), [tau])
-    return [
+    losses = [
         _column_failure(ok[0]) or [
             log_loss_norm(Y, FunctionalSample(
                 basis.mean + design @ c[0][:, :k] @ basis.eigenfunctions[:k], Y.grid
@@ -90,20 +91,24 @@ def _losses(Y: FunctionalSample, dec, candidates, tau: float, k_y_max: int) -> l
         ]
         for design, c, ok in zip(designs, coefs, solved)
     ]
+    return losses, [c[0] for c in coefs]
 
 
 def bic_truncation(Y: FunctionalSample, X, tau: float, k_y: int, k_x: int) -> float:
     """BIC of an (k_y, k_x) truncation: log-loss norm plus ``(k_y + k_x) ln n``."""
     dec = _decompose(Y, X, k_y, [k_x] * len(X))
-    loss = _unwrap(_losses(Y, dec, [(range(len(X)), k_x)], tau, k_y)[0])[-1]
-    return loss + (k_y + k_x) * math.log(Y.n)
+    (loss,), _ = _losses(Y, dec, [(range(len(X)), k_x)], tau, k_y)
+    return _unwrap(loss)[-1] + (k_y + k_x) * math.log(Y.n)
 
 
 def _search_truncation(Y, dec, D, tau: float, k_y_max: int, k_x_max: int) -> tuple:
     """Exhaustive truncation search with one stacked solve for every ``k_x``;
-    a failed ``k_x`` fails every ``k_y`` there, with its error as the note."""
+    a failed ``k_x`` fails every ``k_y`` there, with its error as the note.
+    Returns the chosen ``k_y`` and ``k_x``, the trace and the chosen model's
+    coefficients, a slice of that solve."""
     k_xs = range(1, k_x_max + 1)
-    losses = dict(zip(k_xs, _losses(Y, dec, [(D, k_x) for k_x in k_xs], tau, k_y_max)))
+    losses, coefs = _losses(Y, dec, [(D, k_x) for k_x in k_xs], tau, k_y_max)
+    losses = dict(zip(k_xs, losses))
     notes = {k_x: str(v) for k_x, v in losses.items() if isinstance(v, NumericalError)}
     losses.update((k_x, [math.nan] * k_y_max) for k_x in notes)
     trace = [
@@ -117,7 +122,8 @@ def _search_truncation(Y, dec, D, tau: float, k_y_max: int, k_x_max: int) -> tup
     if not fitted:
         raise NumericalError("every truncation candidate failed to fit")
     best = min(fitted, key=lambda e: (e.bic, e.k_y + e.k_x, e.k_y))
-    return best.k_y, best.k_x, tuple(replace(e, accepted=e is best) for e in trace)
+    trace = tuple(replace(e, accepted=e is best) for e in trace)
+    return best.k_y, best.k_x, trace, coefs[best.k_x - 1][:, :best.k_y].copy()
 
 
 def select_truncation(
@@ -147,8 +153,8 @@ def bic_candidate(
     if len(D) != len(X_subset) or len(set(D)) != len(D):
         raise ValueError("one predictor sample per distinct index in D required")
     dec = _decompose(Y, X_subset, k_y, [k_x] * len(D))
-    loss = _unwrap(_losses(Y, dec, [(range(len(D)), k_x)], tau, k_y)[0])[-1]
-    return loss + len(D) * math.log(Y.n) / (2 * Y.n)
+    (loss,), _ = _losses(Y, dec, [(range(len(D)), k_x)], tau, k_y)
+    return _unwrap(loss)[-1] + len(D) * math.log(Y.n) / (2 * Y.n)
 
 
 def _improves(bic_prev: float, bic_new: float, ratio_threshold: float) -> bool:
@@ -196,7 +202,7 @@ def forward_select(
     if len(X) < 1:
         raise ValueError("need at least one candidate predictor")
     dec = _decompose(Y, X, *_widths(Y, X, fixed_k, k_y_max, k_x_max))
-    D, k_y, k_x, trace, _ = _choose(
+    D, k_y, k_x, trace, _, _ = _choose(
         Y, dec, tau, None, fixed_k, k_y_max, k_x_max, ratio_threshold
     )
     return SelectionResult(k_y, k_x, D, trace)
@@ -218,8 +224,9 @@ def _choose(Y, dec, tau, D, fixed_k, k_y_max, k_x_max, ratio_threshold=0.95) -> 
     every candidate: forward stages at ``fixed_k`` pick the labels when ``D`` is
     None, then the truncation search runs up to the maxima, bounded by the widths
     of ``dec`` over Y and the chosen predictors (``_widths`` caps those at
-    ``min(n - 1, p)``). Returns the labels, ``k_y``, ``k_x``, the trace and
-    ``dec`` cut to that model."""
+    ``min(n - 1, p)``). Returns the labels, ``k_y``, ``k_x``, the trace,
+    ``dec`` cut to that model and its ``FflqrFit`` at ``tau``: the search's own
+    solve of that model, which a refit on the cut ``dec`` matches bitwise."""
     n = Y.n
     response, preds = dec
     trace, chosen, current_bic = [], [], None
@@ -228,7 +235,7 @@ def _choose(Y, dec, tau, D, fixed_k, k_y_max, k_x_max, ratio_threshold=0.95) -> 
         stage = f"stage{len(chosen) + 1}"
         results = []
         sets = [chosen + [label] for label in remaining]
-        losses = _losses(Y, dec, [([i - 1 for i in S], fixed_k) for S in sets], tau, fixed_k)
+        losses, _ = _losses(Y, dec, [([i - 1 for i in S], fixed_k) for S in sets], tau, fixed_k)
         for label, S, loss in zip(remaining, sets, losses):
             if isinstance(loss, NumericalError):
                 bic, note = math.nan, str(loss)
@@ -252,9 +259,12 @@ def _choose(Y, dec, tau, D, fixed_k, k_y_max, k_x_max, ratio_threshold=0.95) -> 
         D = tuple(chosen)
     k_y_max = min(k_y_max, response[0].n_components)
     k_x_max = min([k_x_max] + [preds[i - 1][0].n_components for i in D])
-    k_y, k_x, k_trace = _search_truncation(Y, dec, [i - 1 for i in D], tau, k_y_max, k_x_max)
+    k_y, k_x, k_trace, coefs = _search_truncation(
+        Y, dec, [i - 1 for i in D], tau, k_y_max, k_x_max
+    )
     model_dec = _leading(response, k_y), [_leading(preds[i - 1], k_x) for i in D]
-    return D, k_y, k_x, tuple(trace) + k_trace, model_dec
+    fit = FflqrFit(tau, model_dec[0][0], tuple(basis for basis, _ in model_dec[1]), coefs, D)
+    return D, k_y, k_x, tuple(trace) + k_trace, model_dec, fit
 
 
 def write_trace_csv(trace, path) -> None:

@@ -13,6 +13,7 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,23 @@ ALL_MODELS = ("full", "true", "selected")
 # Each model's report rows in table order, one bootstrap seed each: one per
 # estimator, then the check-loss estimator's paired-quantile band.
 _ROWS = (*ALL_METHODS, "fflqr-direct")
+
+
+def _is_finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number; a ``bool`` is not."""
+    try:
+        return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+# What each annotated type of a SimConfig field admits, and how to say so.
+_FIELD_KINDS = {
+    "int": ("an integer", _is_int),
+    "float": ("a finite number", _is_finite_real),
+    "bool": ("true or false", lambda value: isinstance(value, bool)),
+    "str": ("a string", lambda value: isinstance(value, str)),
+}
 
 
 @dataclass(frozen=True)
@@ -81,8 +99,10 @@ class SimConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type in ("int", int) and not _is_int(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            kind, accepts = _FIELD_KINDS.get(f.type, (None, None))
+            if kind is not None and not accepts(value):
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.n_train < 2 or self.n_test < 1:
@@ -170,28 +190,33 @@ def squared_exp_kernel(width: float = 100.0):
     return kernel
 
 
+def _gram_factor(kernel, grid: Grid):
+    """Lower Cholesky factor of the kernel Gram matrix on a grid, found with a
+    small escalating diagonal jitter; None for an identically zero kernel."""
+    pts = grid.points
+    gram = np.asarray(kernel(pts[:, None], pts[None, :]), dtype=float)
+    gram = (gram + gram.T) / 2.0
+    if np.max(np.abs(gram)) == 0.0:
+        return None
+    jitter = 1e-10
+    for attempt in range(3):
+        try:
+            return np.linalg.cholesky(gram + jitter * np.eye(grid.size))
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
+    raise NumericalError("kernel Gram matrix is not positive definite")
+
+
 def sample_gp(kernel, grid: Grid, n: int, rng) -> FunctionalSample:
     """Draw mean-zero Gaussian process paths on a grid.
 
     The kernel Gram matrix is factorized with a small escalating diagonal
     jitter; an identically zero kernel yields the all-zero sample.
     """
-    pts = grid.points
-    gram = np.asarray(kernel(pts[:, None], pts[None, :]), dtype=float)
-    gram = (gram + gram.T) / 2.0
-    if np.max(np.abs(gram)) == 0.0:
+    factor = _gram_factor(kernel, grid)
+    if factor is None:
         return FunctionalSample(np.zeros((n, grid.size)), grid)
-    jitter = 1e-10
-    for attempt in range(3):
-        try:
-            L = np.linalg.cholesky(gram + jitter * np.eye(grid.size))
-            break
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-    else:
-        raise NumericalError("kernel Gram matrix is not positive definite")
-    draws = rng.standard_normal((n, grid.size))
-    return FunctionalSample(draws @ L.T, grid)
+    return FunctionalSample(rng.standard_normal((n, grid.size)) @ factor.T, grid)
 
 
 def gen_predictors(config: SimConfig, rng, n: int = None) -> list:
@@ -199,14 +224,15 @@ def gen_predictors(config: SimConfig, rng, n: int = None) -> list:
 
     Each predictor is 10 plus a normalized sum of ``lag + 1`` consecutive
     fields out of ``M + lag`` independent Gaussian process draws, so
-    neighbors share most of their components.
+    neighbors share most of their components. The fields share one factored
+    kernel Gram matrix.
     """
     if n is None:
         n = config.n_train + config.n_test
     s_grid = make_uniform_grid(config.n_grid, 0.0, 1.0)
-    kernel = squared_exp_kernel(100.0)
+    factor = _gram_factor(squared_exp_kernel(100.0), s_grid)
     fields_v = [
-        sample_gp(kernel, s_grid, n, rng).values
+        rng.standard_normal((n, config.n_grid)) @ factor.T
         for _ in range(config.M + config.lag)
     ]
     scale = math.sqrt(config.lag + 1)
@@ -376,9 +402,10 @@ def _replicate_reports(
     config: SimConfig, replicate: int, child, methods, models, alpha
 ) -> list:
     """The reports of one replicate. Each training sample is decomposed once;
-    every model's selection and fits slice that decomposition, and with
-    ``alpha`` the paired band's two levels share the check-loss point fit's
-    stacked solve. Only bootstrap refits decompose (their resamples)."""
+    every model's selection and fits slice that decomposition. The check-loss
+    point fit is the selection's own solve, and with ``alpha`` the paired
+    band's two levels share one stacked solve. Only bootstrap refits
+    decompose (their resamples)."""
     data_ss, boot_ss = child.spawn(2)
     data = generate_dataset(config, data_ss)
     scenario = config.label()
@@ -401,16 +428,16 @@ def _replicate_reports(
     for model in ALL_MODELS:
         if model not in models:
             continue
-        D, k_y, k_x, _, model_dec = _choose(Y, dec, config.tau, labels.get(model), *ks)
+        D, k_y, k_x, _, model_dec, chosen = _choose(Y, dec, config.tau, labels.get(model), *ks)
         X_tr = [X[i - 1] for i in D]
         X_te = [data.X_test[i - 1] for i in D]
         for method in ALL_METHODS:
             if method not in methods:
                 continue
-            paired = method == "fflqr" and alpha is not None
-            taus = [config.tau] + ([alpha / 2.0, 1.0 - alpha / 2.0] if paired else [])
-            (fits,) = _fit_for(method, Y, X_tr, taus, k_y, k_x, D, [model_dec])
-            err = mspe(data.Y_test_signal, predict(_unwrap(fits[0]), X_te))
+            fit = chosen if method == "fflqr" else _unwrap(
+                _fit_for(method, Y, X_tr, [config.tau], k_y, k_x, D, [model_dec])[0][0]
+            )
+            err = mspe(data.Y_test_signal, predict(fit, X_te))
             band = None
             if alpha is not None:
                 slot = ALL_MODELS.index(model) * len(_ROWS) + _ROWS.index(method)
@@ -419,8 +446,10 @@ def _replicate_reports(
                     R=config.bootstrap_R, seed=boot_children[slot], method=method,
                 )
             reports.append(report(method, band))
-            if paired:
-                reports.append(report("fflqr-direct", _paired_band(fits[1:], X_te, alpha, Y.grid)))
+            if method == "fflqr" and alpha is not None:
+                levels = [alpha / 2.0, 1.0 - alpha / 2.0]
+                (fits,) = _fit_for(method, Y, X_tr, levels, k_y, k_x, D, [model_dec])
+                reports.append(report("fflqr-direct", _paired_band(fits, X_te, alpha, Y.grid)))
     return reports
 
 

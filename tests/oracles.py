@@ -76,3 +76,17 @@ def full_fpca(sample, K):
     peaks = funcs[np.arange(K), np.argmax(np.abs(funcs), axis=1)]
     funcs = np.where(peaks[:, None] < 0, -funcs, funcs)
     return FpcBasis(sample.grid, mean, funcs, lam), centered @ (funcs * w).T
+
+
+def masked_step(v, dv):
+    """Ratio test by masked division: per row, the least ``-v / dv`` over the
+    entries with ``dv < 0``, and +inf where there is none."""
+    ratio = np.divide(-v, dv, out=np.full_like(v, np.inf), where=dv < 0)
+    return ratio.min(axis=1)
+
+
+def masked_box_step(a, s, da):
+    """``min(masked_step(a, da), masked_step(s, -da))`` by masked division."""
+    ratio = np.divide(-a, da, out=np.full_like(a, np.inf), where=da < 0)
+    np.divide(s, da, out=ratio, where=da > 0)
+    return ratio.min(axis=1)

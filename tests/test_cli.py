@@ -117,6 +117,16 @@ class TestSimulate:
         missing = tmp_path / "nope.json"
         assert main(["simulate", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("ou_gamma", None), ("outlier_per_point", "no"), ("scenario", 5),
+    ])
+    def test_wrongly_typed_config_value_exits_2(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, **{field: value})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be" in err
+        assert "Traceback" not in err
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
         assert "master_seed must be nonnegative" in capsys.readouterr().err
@@ -216,6 +226,26 @@ class TestFit:
             "--out", str(tmp_path / "f"),
         ]) == 0
         assert len(calls) == 1 + len(xs)
+
+    def test_tune_solves_once(self, tmp_path, monkeypatch):
+        # The saved fit is the truncation search's own solve: one stacked
+        # call over the k_x designs, and no refit.
+        sim = simulate(tmp_path)
+        calls = []
+        real = fflqr.qreg._fit_stack
+
+        def fit_stack(designs, responses, taus):
+            calls.append(len(designs))
+            return real(designs, responses, taus)
+
+        monkeypatch.setattr("fflqr.selection._fit_stack", fit_stack)
+        monkeypatch.setattr("fflqr.model._fit_stack", fit_stack)
+        assert main([
+            "fit", "--y", str(sim / "Y_train.csv"),
+            "--x", str(sim / "X2_train.csv"), str(sim / "X4_train.csv"),
+            "--tune", "--ky-max", "3", "--kx-max", "4", "--out", str(tmp_path / "f"),
+        ]) == 0
+        assert calls == [4]
 
     @pytest.mark.parametrize("flag", ["--tune", "--select"])
     def test_matches_library_choice_and_fit(self, tmp_path, flag):

@@ -9,7 +9,13 @@ from hypothesis import given, settings, strategies as st
 from fflqr import qreg
 from fflqr.errors import NumericalError, RankDeficiencyWarning
 from fflqr.qreg import QrProblem, check_loss, qr_fit, qr_fit_multi, qr_objective
-from oracles import brute_force_qr, linprog_qr, objective_value
+from oracles import (
+    brute_force_qr,
+    linprog_qr,
+    masked_box_step,
+    masked_step,
+    objective_value,
+)
 
 
 class TestCheckLoss:
@@ -36,6 +42,51 @@ class TestCheckLoss:
         u = rng.normal(size=200)
         for tau in (0.05, 0.3, 0.5, 0.95):
             assert np.all(check_loss(u, tau) >= 0)
+
+
+def _ratio_inputs(seed, rows=12, n=40):
+    """Positive values with exact zeros, and directions over many magnitudes
+    with zeros of both signs and NaNs. Row 0 has no negative direction, row 1
+    only NaN ones, and row 2 only -0.0 directions on zero values."""
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(0.0, 1.0, (rows, n))
+    v[rng.random((rows, n)) < 0.1] = 0.0
+    d = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-8, 9, (rows, n))
+    pick = rng.random((rows, n))
+    d[pick < 0.1] = 0.0
+    d[(0.1 <= pick) & (pick < 0.2)] = -0.0
+    d[(0.2 <= pick) & (pick < 0.25)] = np.nan
+    d[0] = np.abs(d[0])
+    d[1] = np.nan
+    v[2], d[2] = 0.0, -0.0
+    return v, d
+
+
+class TestRatioTests:
+    """The core's plain-arithmetic ratio tests equal the masked-division
+    reference bitwise."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_step_matches_masked_reference(self, seed):
+        v, dv = _ratio_inputs(seed)
+        got = qreg._step(v, dv)
+        assert got.tobytes() == masked_step(v, dv).tobytes()
+        assert np.all(got[:3] == np.inf)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_box_step_matches_masked_reference(self, seed):
+        a, da = _ratio_inputs(seed)
+        s = 1.0 - a
+        s[np.random.default_rng(seed + 100).random(s.shape) < 0.1] = 0.0
+        got = qreg._box_step(a, s, da)
+        assert got.tobytes() == masked_box_step(a, s, da).tobytes()
+        assert np.all(got[1:3] == np.inf)
+
+    def test_no_floating_point_warning(self):
+        v, dv = _ratio_inputs(0)
+        with np.errstate(all="raise"):
+            qreg._step(v, dv)
+            qreg._box_step(v, 1.0 - v, dv)
 
 
 class TestQrProblem:

@@ -9,7 +9,7 @@ import pytest
 from fflqr import qreg, selection
 from fflqr.errors import NumericalError
 from fflqr.fdata import FunctionalSample, make_uniform_grid
-from fflqr.model import fit_fflqr, predict
+from fflqr.model import _decompose, _fit_for, fit_fflqr, predict
 from fflqr.selection import (
     SelectionResult,
     bic_candidate,
@@ -19,6 +19,7 @@ from fflqr.selection import (
     select_truncation,
     write_trace_csv,
 )
+from fflqr.simulate import SimConfig, generate_dataset
 
 
 def smooth_sample(rng, n, grid, n_harmonics=5):
@@ -348,6 +349,32 @@ class TestStackedCalls:
         res = forward_select(Y, xs, 0.5, k_y_max=3, k_x_max=3)
         stages = {e.stage for e in res.bic_trace if e.stage != "truncation"}
         assert len(calls) == len(stages) + 1
+
+
+class TestChosenFit:
+    """The fit ``_choose`` returns is the truncation search's own solve."""
+
+    @pytest.mark.filterwarnings("ignore::fflqr.errors.RankDeficiencyWarning")
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("tau", [0.5, 0.9])
+    def test_equals_a_refit_of_the_chosen_model_bitwise(self, seed, tau):
+        config = SimConfig(n_train=60, n_test=5, n_grid=30, error_dist="chisq1",
+                           k_y_max=4, k_x_max=3)
+        data = generate_dataset(config, seed)
+        Y, X = data.Y_train, data.X_train
+        ks = (config.fixed_k, config.k_y_max, config.k_x_max)
+        dec = _decompose(Y, X, *selection._widths(Y, X, *ks))
+        for labels in (tuple(range(1, config.M + 1)), config.significant, None):
+            D, k_y, k_x, _, model_dec, fit = selection._choose(Y, dec, tau, labels, *ks)
+            X_fit = [X[i - 1] for i in D]
+            ((refit,),) = _fit_for("fflqr", Y, X_fit, [tau], k_y, k_x, D, [model_dec])
+            assert fit.coefs.shape == (1 + len(D) * k_x, k_y)
+            assert fit.coefs.tobytes() == refit.coefs.tobytes()
+            assert (fit.tau, fit.predictor_indices, fit.method) == (
+                refit.tau, refit.predictor_indices, refit.method
+            )
+            assert fit.response_basis is refit.response_basis
+            assert all(a is b for a, b in zip(fit.predictor_bases, refit.predictor_bases))
 
 
 class TestInputContract:

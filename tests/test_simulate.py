@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fflqr.model as model_mod
+import fflqr.selection as selection_mod
 import fflqr.simulate as sim_mod
 from fflqr.bands import MetricsReport, mspe
 from fflqr.errors import ConfigError, NumericalError
@@ -108,6 +109,22 @@ class TestPredictors:
         X = gen_predictors(config, rng, n=2000)
         c12 = np.corrcoef(X[0].values[:, 10], X[1].values[:, 10])[0, 1]
         assert abs(c12) < 0.1
+
+
+    def test_fields_draw_like_separate_samples(self):
+        # The fields share one kernel factor but draw in the same order, with
+        # the same bytes, as one sample_gp call per field.
+        config = tiny_config(M=3, lag=2, n_grid=20, significant=(1,))
+        got = gen_predictors(config, np.random.default_rng(8), n=7)
+        rng = np.random.default_rng(8)
+        grid = make_uniform_grid(config.n_grid, 0.0, 1.0)
+        kernel = squared_exp_kernel(100.0)
+        fields_v = [sample_gp(kernel, grid, 7, rng).values for _ in range(config.M + config.lag)]
+        for m, x in enumerate(got):
+            total = np.zeros((7, config.n_grid))
+            for j in range(config.lag + 1):
+                total += fields_v[m + j]
+            assert x.values.tobytes() == (10.0 + total / math.sqrt(config.lag + 1)).tobytes()
 
 
 class TestTrueBeta:
@@ -258,6 +275,16 @@ class TestSimConfig:
             (dict(master_seed=-1), "master_seed must be nonnegative"),
             (dict(significant=(2.5, 4)), "significant predictor labels must be integers"),
             (dict(significant=(True, 4)), "significant predictor labels must be integers"),
+            (dict(ou_gamma=None), "ou_gamma must be a finite number, got None"),
+            (dict(sigma=math.nan), "sigma must be a finite number"),
+            (dict(sigma=math.inf), "sigma must be a finite number"),
+            (dict(sigma=True), "sigma must be a finite number"),
+            (dict(tau="0.5"), "tau must be a finite number"),
+            (dict(outlier_mean=10**400), "outlier_mean must be a finite number"),
+            (dict(outlier_per_point="no"), "outlier_per_point must be true or false"),
+            (dict(outlier_per_point=1), "outlier_per_point must be true or false"),
+            (dict(scenario=5), "scenario must be a string, got 5"),
+            (dict(error_dist=None), "error_dist must be a string"),
         ],
     )
     def test_rejects_bad_values(self, kw, msg):
@@ -269,6 +296,10 @@ class TestSimConfig:
         again = SimConfig.from_dict(config.to_dict())
         assert again == config
         assert again.significant == (1, 3)
+
+    def test_integer_and_numpy_values_pass_as_floats(self):
+        config = SimConfig(sigma=1, ou_gamma=np.float64(0.5), outlier_mean=np.int64(3))
+        assert config.label() == "normal-sigma1-contam0"
 
     def test_from_dict_rejects_unknown_field(self):
         with pytest.raises(ConfigError, match="unknown config field"):
@@ -426,6 +457,34 @@ class TestRunMonteCarlo:
         )
         assert {r.method for r in reports} == {"fflqr", "fflqr-direct"}
         assert len(decomposed) == len(set(decomposed))
+
+    @pytest.mark.filterwarnings("ignore::fflqr.errors.RankDeficiencyWarning")
+    def test_point_fits_are_the_selections_solves(self, monkeypatch):
+        # Without alpha, every core call of a replicate comes from a model
+        # choice: no check-loss point fit is solved a second time.
+        calls = {"choice": 0, "other": 0}
+        choosing = []
+        real_choose, real_fit_stack = selection_mod._choose, selection_mod._fit_stack
+
+        def choose(*args):
+            choosing.append(True)
+            try:
+                return real_choose(*args)
+            finally:
+                choosing.pop()
+
+        def fit_stack(*args):
+            calls["choice" if choosing else "other"] += 1
+            return real_fit_stack(*args)
+
+        monkeypatch.setattr(sim_mod, "_choose", choose)
+        monkeypatch.setattr(selection_mod, "_fit_stack", fit_stack)
+        monkeypatch.setattr(model_mod, "_fit_stack", fit_stack)
+        reports = run_monte_carlo(tiny_config(n_replicates=1))
+        assert len(reports) == len(sim_mod.ALL_METHODS) * len(sim_mod.ALL_MODELS)
+        # one forward stage at least, and one truncation search per model
+        assert calls["choice"] >= 1 + len(sim_mod.ALL_MODELS)
+        assert calls["other"] == 0
 
     @pytest.mark.filterwarnings("ignore::fflqr.errors.RankDeficiencyWarning")
     def test_point_fit_unmoved_by_paired_band_levels(self):
