@@ -260,7 +260,7 @@ def cmd_interval(args) -> int:
         out, "interval", meta,
         [args.model, args.train_y, *args.train_x, *args.x],
         ["Y_pred.csv", "lower.csv", "upper.csv", "band.json"],
-        args.seed, started,
+        meta["seed"], started,
     )
     return 0
 

@@ -84,8 +84,8 @@ class BsplineLsFit:
     Parameters
     ----------
     theta : ndarray, shape (1 + M * n_basis, n_basis)
-        Regression coefficients mapping predictor basis coordinates
-        (intercept first) to response basis coordinates.
+        Regression coefficients mapping the predictors' inner products with
+        the basis (intercept first) to response basis coordinates.
     response_grid, predictor_grids : Grid
         Evaluation grids of the training curves.
     n_basis, order : int
@@ -267,44 +267,42 @@ def _ls_solve(design: np.ndarray, responses: np.ndarray) -> np.ndarray:
     return coefs
 
 
-def _basis_coordinates(sample: FunctionalSample, n_basis: int, order: int):
-    """Weighted least squares projection of curves onto a B-spline basis.
-
-    Returns the (n, n_basis) coordinate matrix and the basis Gram matrix
-    under the sample grid's quadrature.
-    """
-    grid = sample.grid
+def _basis_on(grid: Grid, n_basis: int, order: int):
+    """The clamped B-spline basis evaluated on ``grid``, shape (p, n_basis),
+    and its copy weighted by the grid's quadrature."""
     B = bspline_design(grid.points, n_basis, order, grid.points[0], grid.points[-1])
-    Bw = B * grid.weights[:, None]
-    gram = B.T @ Bw
+    return B, B * grid.weights[:, None]
+
+
+def _basis_coordinates(sample: FunctionalSample, n_basis: int, order: int) -> np.ndarray:
+    """The (n, n_basis) weighted least squares coordinates of curves in the basis."""
+    B, Bw = _basis_on(sample.grid, n_basis, order)
     try:
-        coords = scipy.linalg.solve(gram, Bw.T @ sample.values.T, assume_a="pos").T
+        return scipy.linalg.solve(B.T @ Bw, Bw.T @ sample.values.T, assume_a="pos").T
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(
             f"singular B-spline Gram matrix: some of the n_basis={n_basis} basis "
-            f"functions have no point of the {grid.size}-point grid of their own "
+            f"functions have no point of the {sample.grid.size}-point grid of their own "
             f"in their support"
         ) from exc
-    return coords, gram
 
 
 def _bspline_design(X, grids, n_basis: int, order: int) -> np.ndarray:
-    """Intercept-plus-blocks design of predictor B-spline inner products;
-    each ``X[m]`` must lie on ``grids[m]``."""
+    """Intercept-plus-blocks design of the predictor curves' quadrature inner
+    products with the B-spline basis; each ``X[m]`` must lie on ``grids[m]``."""
     blocks = []
     for grid, x in zip(grids, X):
         if not x.grid.close_to(grid):
             raise ValueError("predictor grid does not match the fitted grid")
         if n_basis > x.grid.size:
             raise ValueError("n_basis exceeds the number of predictor grid points")
-        coords, gram = _basis_coordinates(x, n_basis, order)
-        blocks.append(coords @ gram)
+        blocks.append(x.values @ _basis_on(x.grid, n_basis, order)[1])
     return _design(blocks)
 
 
 def _fit_bspline(Y, X, rows, n_basis: int = 20, order: int = 4, predictor_indices=None) -> list:
-    """One ``BsplineLsFit`` per row set of ``(Y, X)``. A curve's coordinates
-    depend on that curve alone, so all curves are expanded once."""
+    """One ``BsplineLsFit`` per row set of ``(Y, X)``. A curve's expansion
+    depends on that curve alone, so all curves are expanded once."""
     if not 2 <= order <= n_basis:
         raise ValueError("need order >= 2 and n_basis >= order")
     if n_basis > Y.grid.size:
@@ -312,7 +310,7 @@ def _fit_bspline(Y, X, rows, n_basis: int = 20, order: int = 4, predictor_indice
     _validate_samples(Y, X)
     indices = _resolve_indices(X, predictor_indices)
     grids = tuple(x.grid for x in X)
-    d_resp, _ = _basis_coordinates(Y, n_basis, order)
+    d_resp = _basis_coordinates(Y, n_basis, order)
     design = _bspline_design(X, grids, n_basis, order)
     return [BsplineLsFit(_ls_solve(design[r], d_resp[r]), Y.grid, grids, n_basis, order, indices)
             for r in rows]
@@ -327,9 +325,9 @@ def fit_bspline_ls(
 ) -> BsplineLsFit:
     """Function-on-function least squares through B-spline curve expansions.
 
-    Curves are represented by weighted least squares coefficients in a
-    clamped B-spline basis; the bivariate coefficient surfaces live in the
-    tensor product of the predictor and response bases.
+    Response curves enter as weighted least squares coordinates in a clamped
+    B-spline basis and predictor curves as their quadrature inner products
+    with it; the coefficient surfaces live in the tensor product of the bases.
     """
     return _fit_bspline(Y, X, [slice(None)], n_basis, order, predictor_indices)[0]
 
@@ -364,9 +362,8 @@ def predict(fit, X_new) -> FunctionalSample:
         raise TypeError(f"cannot predict from {type(fit).__name__}")
     _check_predictors(X_new, len(fit.predictor_grids))
     d_hat = _bspline_design(X_new, fit.predictor_grids, fit.n_basis, fit.order) @ fit.theta
-    g = fit.response_grid
-    B_resp = bspline_design(g.points, fit.n_basis, fit.order, g.points[0], g.points[-1])
-    return FunctionalSample(d_hat @ B_resp.T, g)
+    B_resp, _ = _basis_on(fit.response_grid, fit.n_basis, fit.order)
+    return FunctionalSample(d_hat @ B_resp.T, fit.response_grid)
 
 
 def _block_rows(fit: FflqrFit, position: int) -> slice:
@@ -480,11 +477,14 @@ def load_model(path):
             doc = json.load(fh)
         kind = doc.get("kind") if isinstance(doc, dict) else None
         if kind in ("fflqr", "fpc-ls"):
+            # JSON holds no integer inside (0, 1), and a bool is no float
+            if not (isinstance(doc["tau"], float) and 0.0 < doc["tau"] < 1.0):
+                raise ValueError(f"tau must be a number inside (0, 1), got {doc['tau']!r}")
             bases = tuple(_basis_from_json(b) for b in doc["predictor_bases"])
             if not bases:
                 raise ValueError("a score model needs at least one predictor basis")
             return FflqrFit(
-                float(doc["tau"]),
+                doc["tau"],
                 _basis_from_json(doc["response_basis"]),
                 bases,
                 np.array(doc["coefficients"], dtype=float),
@@ -492,12 +492,14 @@ def load_model(path):
                 kind,
             )
         if kind == "bspline-ls":
+            if not (_is_int(doc["n_basis"]) and _is_int(doc["order"])):
+                raise ValueError("n_basis and order must be integers")
             return BsplineLsFit(
                 np.array(doc["theta"], dtype=float),
                 _grid_from_json(doc["response_grid"]),
                 tuple(_grid_from_json(g) for g in doc["predictor_grids"]),
-                int(doc["n_basis"]),
-                int(doc["order"]),
+                doc["n_basis"],
+                doc["order"],
                 _resolve_indices(doc["predictor_grids"], doc["predictor_indices"]),
             )
     except (KeyError, TypeError, ValueError) as exc:

@@ -130,6 +130,9 @@ class SimConfig:
         object.__setattr__(self, "significant", tuple(self.significant))
         if not all(_is_int(m) and 1 <= m <= self.M for m in self.significant):
             raise ConfigError("significant predictor labels must be integers in 1..M")
+        labels = list(self.significant)
+        if not labels or len(set(labels)) < len(labels):
+            raise ConfigError(f"significant must be one or more distinct labels, got {labels}")
         if self.fixed_k < 1 or self.k_y_max < 1 or self.k_x_max < 1:
             raise ConfigError("truncation settings must be at least 1")
         if self.bootstrap_R < 2:

@@ -90,3 +90,43 @@ def masked_box_step(a, s, da):
     ratio = np.divide(-a, da, out=np.full_like(a, np.inf), where=da < 0)
     np.divide(s, da, out=ratio, where=da > 0)
     return ratio.min(axis=1)
+
+
+def cox_de_boor(x, knots, order):
+    """The ``len(knots) - order`` B-splines of ``order`` on ``knots`` at the
+    points ``x``, shape (len(x), len(knots) - order), by the Cox-de Boor
+    recursion; the last nonempty knot interval is closed on the right."""
+    x, t = np.asarray(x, dtype=float), np.asarray(knots, dtype=float)
+    B = ((t[:-1] <= x[:, None]) & (x[:, None] < t[1:])).astype(float)
+    last = np.flatnonzero(t[:-1] < t[1:])[-1]
+    B[x == t[last + 1], last] = 1.0
+    for k in range(1, order):
+        nxt = np.zeros((len(x), B.shape[1] - 1))
+        for i in range(nxt.shape[1]):
+            if t[i + k] > t[i]:
+                nxt[:, i] += (x - t[i]) / (t[i + k] - t[i]) * B[:, i]
+            if t[i + k + 1] > t[i + 1]:
+                nxt[:, i] += (t[i + k + 1] - x) / (t[i + k + 1] - t[i + 1]) * B[:, i + 1]
+        B = nxt
+    return B
+
+
+def bspline_ls_reference(Y, X, X_new, n_basis=20, order=4):
+    """``predict(fit_bspline_ls(Y, X, n_basis, order), X_new).values`` from
+    scratch: response coordinates by weighted ``lstsq`` of the curves on a
+    clamped uniform basis, predictor blocks as quadrature inner products with
+    it, and a plain ``lstsq`` fit of the coordinates on those blocks."""
+    def basis(grid):
+        a, b = grid.points[0], grid.points[-1]
+        inner = np.linspace(a, b, n_basis - order + 2)
+        return cox_de_boor(grid.points, np.r_[[a] * (order - 1), inner, [b] * (order - 1)], order)
+
+    def design(samples):
+        blocks = [s.values @ (basis(s.grid) * s.grid.weights[:, None]) for s in samples]
+        return np.column_stack([np.ones(len(samples[0].values))] + blocks)
+
+    B = basis(Y.grid)
+    root_w = np.sqrt(Y.grid.weights)
+    coords = np.linalg.lstsq(B * root_w[:, None], (Y.values * root_w).T, rcond=None)[0].T
+    theta = np.linalg.lstsq(design(X), coords, rcond=None)[0]
+    return design(X_new) @ theta @ B.T

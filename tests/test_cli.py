@@ -127,6 +127,14 @@ class TestSimulate:
         assert f"{field} must be" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("significant", [[], [2, 2]])
+    def test_empty_or_repeated_significant_exits_2(self, tmp_path, capsys, significant):
+        cfg = write_config(tmp_path, significant=significant)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "significant must be one or more distinct labels" in err
+        assert "Traceback" not in err
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
         assert "master_seed must be nonnegative" in capsys.readouterr().err
@@ -380,9 +388,11 @@ class TestPredict:
                  "eigenvalues": doc["predictor_bases"][-1]["eigenvalues"][:1]},
             ],
         }),
+        *(lambda doc, tau=tau: json.dumps({**doc, "tau": tau}) for tau in (1.5, True, "0.5")),
     ], ids=["truncated-json", "no-coefficients", "wrong-shape", "no-predictor-bases",
             "null-mean", "null-coefficients", "string-labels", "zero-label",
-            "float-label", "bool-label", "repeated-label", "unequal-widths"])
+            "float-label", "bool-label", "repeated-label", "unequal-widths",
+            "tau-above-1", "bool-tau", "string-tau"])
     def test_corrupt_model_exits_3(self, tmp_path, command, corrupt):
         sim = simulate(tmp_path)
         fitted = fit_dir(tmp_path, sim)
@@ -458,6 +468,7 @@ class TestInterval:
         meta = json.loads((out / "band.json").read_text())
         assert meta["method"] == "direct"
         assert meta["R"] is None and meta["seed"] is None
+        assert json.loads((out / "manifest.json").read_text())["master_seed"] is None
         assert 0.0 <= meta["crossing_rate"] <= 1.0
 
     def test_predictors_on_another_grid_exit_3(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import fflqr.model as model_mod
 from fflqr.errors import DataError, NumericalError, RankDeficiencyWarning
 from fflqr.fdata import (
     FunctionalSample, Grid, _trapezoid_weights, inner_product, make_uniform_grid,
@@ -25,6 +26,7 @@ from fflqr.model import (
 )
 from fflqr.qreg import QrProblem, qr_fit, qr_fit_multi
 from fflqr.simulate import SimConfig, generate_dataset
+from oracles import bspline_ls_reference
 
 
 def smooth_predictors(rng, n, grid, m=2, n_harmonics=5):
@@ -385,16 +387,52 @@ class TestBsplineLs:
         with pytest.raises(ValueError, match=msg):
             predict(fit, [xs[0], FunctionalSample(xs[1].values[:4], g)])
 
-    def test_grid_points_outside_basis_supports_raise(self):
+    def test_predictor_grid_points_outside_basis_supports_fit(self):
         # 12 of 13 points in [0, 0.1]: the basis functions supported on
-        # [0.2, 1] share the one point at 1, so the Gram matrix is singular.
+        # [0.2, 1] share the one point at 1, so their inner products with
+        # the curves are zero or collinear and the design loses rank.
         rng = np.random.default_rng(24)
         points = np.append(np.linspace(0.0, 0.1, 12), 1.0)
         g = Grid(points, _trapezoid_weights(points))
         x = FunctionalSample(rng.normal(size=(30, 13)), g)
         Y = FunctionalSample(rng.normal(size=(30, 20)), make_uniform_grid(20, 0.0, 1.0))
+        with pytest.warns(RankDeficiencyWarning):
+            fit = fit_bspline_ls(Y, [x], n_basis=8)
+        assert np.all(np.isfinite(predict(fit, [x]).values))
+
+    def test_response_grid_points_outside_basis_supports_raise(self):
+        # the same grid under the response: its Gram matrix is singular
+        rng = np.random.default_rng(24)
+        points = np.append(np.linspace(0.0, 0.1, 12), 1.0)
+        Y = FunctionalSample(rng.normal(size=(30, 13)), Grid(points, _trapezoid_weights(points)))
+        (x,) = smooth_predictors(rng, 30, make_uniform_grid(20, 0.0, 1.0), m=1)
         with pytest.raises(NumericalError, match="no point of the 13-point grid of their own"):
             fit_bspline_ls(Y, [x], n_basis=8)
+
+    def test_one_coordinate_pass_for_the_response(self, monkeypatch):
+        # predictors enter through inner products and prediction needs no
+        # coordinates, so fit and predict solve one Gram system, for Y
+        rng = np.random.default_rng(25)
+        Y, x = representable_pair(rng, n=30, p=25)
+        (z,) = smooth_predictors(rng, 30, x.grid, m=1)
+        passes = []
+        coordinates = model_mod._basis_coordinates
+        monkeypatch.setattr(model_mod, "_basis_coordinates",
+                            lambda sample, *a: passes.append(sample) or coordinates(sample, *a))
+        predict(fit_bspline_ls(Y, [x, z], n_basis=8), [x, z])
+        assert len(passes) == 1 and passes[0] is Y
+
+    @pytest.mark.parametrize("labels", [(2, 4, 5), (1, 2, 3, 4, 5)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_reference(self, seed, labels):
+        # Measured worst: 1.3e-13 of the largest prediction (seed 3, all
+        # five predictors); the bound leaves a margin of about 75x.
+        data = generate_dataset(SimConfig(), np.random.SeedSequence(seed))
+        X = [data.X_train[i - 1] for i in labels]
+        X_test = [data.X_test[i - 1] for i in labels]
+        pred = predict(fit_bspline_ls(data.Y_train, X, predictor_indices=labels), X_test).values
+        ref = bspline_ls_reference(data.Y_train, X, X_test)
+        np.testing.assert_allclose(pred, ref, rtol=0, atol=1e-11 * np.abs(ref).max())
 
     def test_predict_on_other_grid_raises(self):
         rng = np.random.default_rng(22)
@@ -447,6 +485,20 @@ class TestSerialization:
         doc = json.loads(path.read_text())
         path.write_text(json.dumps({**doc, "predictor_indices": labels}))
         with pytest.raises(DataError, match="malformed"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_basis", "8"), ("n_basis", 8.9), ("n_basis", True), ("order", 4.5),
+    ])
+    def test_bspline_non_integer_sizes_raise(self, tmp_path, field, value):
+        rng = np.random.default_rng(19)
+        g = make_uniform_grid(25, 0.0, 1.0)
+        (x,) = smooth_predictors(rng, 30, g, m=1)
+        fit = fit_bspline_ls(FunctionalSample(rng.normal(size=(30, 25)), g), [x], n_basis=8)
+        path = tmp_path / "model.json"
+        save_model(fit, path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+        with pytest.raises(DataError, match="n_basis and order must be integers"):
             load_model(path)
 
     def test_fpc_ls_round_trip(self, tmp_path):

@@ -285,6 +285,8 @@ class TestSimConfig:
             (dict(outlier_per_point=1), "outlier_per_point must be true or false"),
             (dict(scenario=5), "scenario must be a string, got 5"),
             (dict(error_dist=None), "error_dist must be a string"),
+            (dict(significant=()), r"one or more distinct labels, got \[\]"),
+            (dict(significant=(2, 2)), r"one or more distinct labels, got \[2, 2\]"),
         ],
     )
     def test_rejects_bad_values(self, kw, msg):
