@@ -174,13 +174,14 @@ def _fit_for(method, Y, X, taus, k_y, k_x, predictor_indices=None, decs=None,
     methods decompose each row set at ``(k_y, k_x)``, or fit the
     ``_decompose`` outputs ``decs`` (selection hands over slices this way),
     and solve every fit, level and response score in one stacked call. The
-    B-spline method expands the curves once and solves each row set on its
-    rows. Least squares fits ignore the level; ``fpc-ls`` fits carry 0.5.
+    B-spline method expands the curves once, or takes ``decs`` as the
+    response's ``_basis_coordinates``, and solves each row set on its rows.
+    Least squares fits ignore the level; ``fpc-ls`` fits carry 0.5.
     """
     if method == "bspline-ls":
         # Its one numerical failure, a singular Gram matrix, depends on the grid alone.
         try:
-            fits = _fit_bspline(Y, X, rows, predictor_indices=predictor_indices)
+            fits = _fit_bspline(Y, X, rows, predictor_indices=predictor_indices, coords=decs)
         except NumericalError as exc:
             fits = [exc] * len(rows)
         return [[fit] * len(taus) for fit in fits]
@@ -274,8 +275,11 @@ def _basis_on(grid: Grid, n_basis: int, order: int):
     return B, B * grid.weights[:, None]
 
 
-def _basis_coordinates(sample: FunctionalSample, n_basis: int, order: int) -> np.ndarray:
-    """The (n, n_basis) weighted least squares coordinates of curves in the basis."""
+def _basis_coordinates(sample: FunctionalSample, n_basis: int = 20, order: int = 4) -> np.ndarray:
+    """The (n, n_basis) weighted least squares coordinates of response curves
+    in the basis."""
+    if n_basis > sample.grid.size:
+        raise ValueError("n_basis exceeds the number of response grid points")
     B, Bw = _basis_on(sample.grid, n_basis, order)
     try:
         return scipy.linalg.solve(B.T @ Bw, Bw.T @ sample.values.T, assume_a="pos").T
@@ -300,17 +304,17 @@ def _bspline_design(X, grids, n_basis: int, order: int) -> np.ndarray:
     return _design(blocks)
 
 
-def _fit_bspline(Y, X, rows, n_basis: int = 20, order: int = 4, predictor_indices=None) -> list:
+def _fit_bspline(Y, X, rows, n_basis: int = 20, order: int = 4, predictor_indices=None,
+                 coords=None) -> list:
     """One ``BsplineLsFit`` per row set of ``(Y, X)``. A curve's expansion
-    depends on that curve alone, so all curves are expanded once."""
+    depends on that curve alone, so all curves are expanded once; fits that
+    share Y may share its expansion ``coords``."""
     if not 2 <= order <= n_basis:
         raise ValueError("need order >= 2 and n_basis >= order")
-    if n_basis > Y.grid.size:
-        raise ValueError("n_basis exceeds the number of response grid points")
     _validate_samples(Y, X)
     indices = _resolve_indices(X, predictor_indices)
     grids = tuple(x.grid for x in X)
-    d_resp = _basis_coordinates(Y, n_basis, order)
+    d_resp = _basis_coordinates(Y, n_basis, order) if coords is None else coords
     design = _bspline_design(X, grids, n_basis, order)
     return [BsplineLsFit(_ls_solve(design[r], d_resp[r]), Y.grid, grids, n_basis, order, indices)
             for r in rows]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -74,14 +75,15 @@ def log_loss_norm(Y: FunctionalSample, fitted: FunctionalSample, tau: float) -> 
     return float(np.sqrt(np.sum(Y.grid.weights * log_loss**2)))
 
 
-def _losses(Y: FunctionalSample, dec, candidates, tau: float, k_y_max: int) -> tuple:
-    """Per ``(D, k_x)`` candidate, ``log_loss_norm`` at ``k_y = 1..k_y_max``
-    on predictor positions ``D`` at ``k_x``, or the ``NumericalError`` naming
-    its unsolved response column; and per candidate, its (q, k_y_max)
-    coefficients. All candidates share one stacked solve."""
+def _losses(Y: FunctionalSample, dec, candidates, tau: float, k_y_max: int):
+    """Generator returning, per ``(D, k_x)`` candidate, ``log_loss_norm`` at
+    ``k_y = 1..k_y_max`` on predictor positions ``D`` at ``k_x``, or the
+    ``NumericalError`` naming its unsolved response column; and per
+    candidate, its (q, k_y_max) coefficients. All candidates share one
+    stacked solve, its one request to ``_drive``."""
     (basis, xi), preds = dec
     designs = [_design(preds[m][1][:, :k_x] for m in D) for D, k_x in candidates]
-    coefs, solved = _fit_stack(designs, [xi[:, :k_y_max]] * len(designs), [tau])
+    coefs, solved = yield designs, [xi[:, :k_y_max]] * len(designs), [tau]
     losses = [
         _column_failure(ok[0]) or [
             log_loss_norm(Y, FunctionalSample(
@@ -94,20 +96,55 @@ def _losses(Y: FunctionalSample, dec, candidates, tau: float, k_y_max: int) -> t
     return losses, [c[0] for c in coefs]
 
 
+def _drive(steps) -> list:
+    """Run selection generators in lockstep; per generator, its value or the
+    ``NumericalError`` it raised (on its first step too).
+
+    Each generator yields ``(designs, responses, taus)`` requests and is sent
+    back their ``_fit_stack`` result. Each round merges the pending requests
+    of the narrowest response width (and the same levels) into one core
+    call, the only one of selection; wider ones wait, so a truncation search
+    merges with the searches that follow other generators' forward stages. A
+    problem's coefficients do not depend on its stack, so no result changes.
+    """
+    results, pending = [None] * len(steps), {}
+
+    def advance(i, reply):
+        try:
+            pending[i] = steps[i].send(reply)
+        except StopIteration as stop:
+            results[i] = stop.value
+        except NumericalError as exc:
+            results[i] = exc
+
+    for i in range(len(steps)):
+        advance(i, None)
+    while pending:
+        # Narrowest response first: its (K, n), then the levels.
+        keys = {i: (r[1][0].shape[::-1], tuple(r[2])) for i, r in pending.items()}
+        least = min(keys.values())
+        served = [i for i, key in keys.items() if key == least]
+        designs, responses, taus = zip(*(pending.pop(i) for i in served))
+        coefs, solved = _fit_stack(sum(designs, []), sum(responses, []), taus[0])
+        for i, part, stop in zip(served, designs, itertools.accumulate(map(len, designs))):
+            advance(i, (coefs[stop - len(part):stop], solved[stop - len(part):stop]))
+    return results
+
+
 def bic_truncation(Y: FunctionalSample, X, tau: float, k_y: int, k_x: int) -> float:
     """BIC of an (k_y, k_x) truncation: log-loss norm plus ``(k_y + k_x) ln n``."""
     dec = _decompose(Y, X, k_y, [k_x] * len(X))
-    (loss,), _ = _losses(Y, dec, [(range(len(X)), k_x)], tau, k_y)
+    (loss,), _ = _unwrap(_drive([_losses(Y, dec, [(range(len(X)), k_x)], tau, k_y)])[0])
     return _unwrap(loss)[-1] + (k_y + k_x) * math.log(Y.n)
 
 
-def _search_truncation(Y, dec, D, tau: float, k_y_max: int, k_x_max: int) -> tuple:
-    """Exhaustive truncation search with one stacked solve for every ``k_x``;
-    a failed ``k_x`` fails every ``k_y`` there, with its error as the note.
-    Returns the chosen ``k_y`` and ``k_x``, the trace and the chosen model's
-    coefficients, a slice of that solve."""
+def _search_truncation(Y, dec, D, tau: float, k_y_max: int, k_x_max: int):
+    """Generator of the exhaustive truncation search, one stacked solve for
+    every ``k_x``; a failed ``k_x`` fails every ``k_y`` there, with its error
+    as the note. Returns the chosen ``k_y`` and ``k_x``, the trace and the
+    chosen model's coefficients, a slice of that solve."""
     k_xs = range(1, k_x_max + 1)
-    losses, coefs = _losses(Y, dec, [(D, k_x) for k_x in k_xs], tau, k_y_max)
+    losses, coefs = yield from _losses(Y, dec, [(D, k_x) for k_x in k_xs], tau, k_y_max)
     losses = dict(zip(k_xs, losses))
     notes = {k_x: str(v) for k_x, v in losses.items() if isinstance(v, NumericalError)}
     losses.update((k_x, [math.nan] * k_y_max) for k_x in notes)
@@ -153,7 +190,7 @@ def bic_candidate(
     if len(D) != len(X_subset) or len(set(D)) != len(D):
         raise ValueError("one predictor sample per distinct index in D required")
     dec = _decompose(Y, X_subset, k_y, [k_x] * len(D))
-    (loss,), _ = _losses(Y, dec, [(range(len(D)), k_x)], tau, k_y)
+    (loss,), _ = _unwrap(_drive([_losses(Y, dec, [(range(len(D)), k_x)], tau, k_y)])[0])
     return _unwrap(loss)[-1] + len(D) * math.log(Y.n) / (2 * Y.n)
 
 
@@ -226,7 +263,16 @@ def _choose(Y, dec, tau, D, fixed_k, k_y_max, k_x_max, ratio_threshold=0.95) -> 
     of ``dec`` over Y and the chosen predictors (``_widths`` caps those at
     ``min(n - 1, p)``). Returns the labels, ``k_y``, ``k_x``, the trace,
     ``dec`` cut to that model and its ``FflqrFit`` at ``tau``: the search's own
-    solve of that model, which a refit on the cut ``dec`` matches bitwise."""
+    solve of that model, which a refit on the cut ``dec`` matches bitwise.
+    This is ``_drive`` on one ``_choice``; the Monte Carlo study drives the
+    ``_choice`` of every replicate in a window together."""
+    steps = _choice(Y, dec, tau, D, fixed_k, k_y_max, k_x_max, ratio_threshold)
+    return _unwrap(_drive([steps])[0])
+
+
+def _choice(Y, dec, tau, D, fixed_k, k_y_max, k_x_max, ratio_threshold=0.95):
+    """Generator behind ``_choose``: one ``_fit_stack`` request per forward
+    stage and one for the truncation search."""
     n = Y.n
     response, preds = dec
     trace, chosen, current_bic = [], [], None
@@ -235,7 +281,9 @@ def _choose(Y, dec, tau, D, fixed_k, k_y_max, k_x_max, ratio_threshold=0.95) -> 
         stage = f"stage{len(chosen) + 1}"
         results = []
         sets = [chosen + [label] for label in remaining]
-        losses, _ = _losses(Y, dec, [([i - 1 for i in S], fixed_k) for S in sets], tau, fixed_k)
+        losses, _ = yield from _losses(
+            Y, dec, [([i - 1 for i in S], fixed_k) for S in sets], tau, fixed_k
+        )
         for label, S, loss in zip(remaining, sets, losses):
             if isinstance(loss, NumericalError):
                 bic, note = math.nan, str(loss)
@@ -259,7 +307,7 @@ def _choose(Y, dec, tau, D, fixed_k, k_y_max, k_x_max, ratio_threshold=0.95) -> 
         D = tuple(chosen)
     k_y_max = min(k_y_max, response[0].n_components)
     k_x_max = min([k_x_max] + [preds[i - 1][0].n_components for i in D])
-    k_y, k_x, k_trace, coefs = _search_truncation(
+    k_y, k_x, k_trace, coefs = yield from _search_truncation(
         Y, dec, [i - 1 for i in D], tau, k_y_max, k_x_max
     )
     model_dec = _leading(response, k_y), [_leading(preds[i - 1], k_x) for i in D]

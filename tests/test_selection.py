@@ -377,6 +377,65 @@ class TestChosenFit:
             assert all(a is b for a, b in zip(fit.predictor_bases, refit.predictor_bases))
 
 
+class TestDrive:
+    """``_drive`` runs model choices in lockstep with the results of each alone."""
+
+    @staticmethod
+    def choice_cases():
+        # Ragged on purpose: forward stages (fixed_k response columns) run
+        # beside truncation searches (k_y_max columns).
+        config = SimConfig(n_train=60, n_test=5, n_grid=30, error_dist="chisq1",
+                           k_y_max=4, k_x_max=3)
+        ks = (config.fixed_k, config.k_y_max, config.k_x_max)
+        cases = []
+        for seed, labels in ((1, None), (2, (2, 4, 5)), (3, None), (4, (1, 2, 3, 4, 5))):
+            data = generate_dataset(config, seed)
+            Y, X = data.Y_train, data.X_train
+            dec = _decompose(Y, X, *selection._widths(Y, X, *ks))
+            cases.append((Y, dec, 0.5, labels, *ks))
+        return cases
+
+    @pytest.mark.filterwarnings("ignore::fflqr.errors.RankDeficiencyWarning")
+    def test_ragged_choices_merge_by_response_width(self, monkeypatch):
+        cases = self.choice_cases()
+        alone = [selection._choose(*case) for case in cases]
+        calls = []
+        real = selection._fit_stack
+
+        def fit_stack(designs, responses, taus):
+            calls.append({r.shape for r in responses})
+            return real(designs, responses, taus)
+
+        monkeypatch.setattr(selection, "_fit_stack", fit_stack)
+        together = selection._drive([selection._choice(*case) for case in cases])
+        # one request per forward stage and one for the truncation search
+        requests = [len({e.stage for e in trace}) for _, _, _, trace, _, _ in alone]
+        assert len(set(requests)) > 1
+        assert len(calls) == max(requests)
+        assert all(len(shapes) == 1 for shapes in calls)
+        for (D, k_y, k_x, trace, _, fit), got in zip(alone, together):
+            assert (got[0], got[1], got[2], repr(got[3])) == (D, k_y, k_x, repr(trace))
+            assert got[5].coefs.tobytes() == fit.coefs.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::fflqr.errors.RankDeficiencyWarning")
+    def test_a_failing_generator_fails_alone(self):
+        case = self.choice_cases()[0]
+
+        def fails_at_start():
+            raise NumericalError("at start")
+            yield
+
+        def fails_after_a_solve():
+            yield from selection._choice(*case)
+            raise NumericalError("after a solve")
+
+        results = selection._drive(
+            [fails_at_start(), selection._choice(*case), fails_after_a_solve()]
+        )
+        assert [str(r) for r in results[::2]] == ["at start", "after a solve"]
+        assert results[1][5].coefs.tobytes() == selection._choose(*case)[5].coefs.tobytes()
+
+
 class TestInputContract:
     @pytest.mark.parametrize("kwargs", [
         {"fixed_k": 0}, {"k_y_max": 0}, {"k_x_max": 0}, {"fixed_k": 40},

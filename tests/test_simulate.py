@@ -463,30 +463,110 @@ class TestRunMonteCarlo:
     @pytest.mark.filterwarnings("ignore::fflqr.errors.RankDeficiencyWarning")
     def test_point_fits_are_the_selections_solves(self, monkeypatch):
         # Without alpha, every core call of a replicate comes from a model
-        # choice: no check-loss point fit is solved a second time.
-        calls = {"choice": 0, "other": 0}
-        choosing = []
-        real_choose, real_fit_stack = selection_mod._choose, selection_mod._fit_stack
+        # choice, through the selection driver: no check-loss point fit is
+        # solved a second time.
+        calls = {"driver": 0, "other": 0}
+        real_fit_stack = selection_mod._fit_stack
 
-        def choose(*args):
-            choosing.append(True)
-            try:
-                return real_choose(*args)
-            finally:
-                choosing.pop()
+        def counting(where):
+            def fit_stack(*args):
+                calls[where] += 1
+                return real_fit_stack(*args)
+            return fit_stack
 
-        def fit_stack(*args):
-            calls["choice" if choosing else "other"] += 1
-            return real_fit_stack(*args)
-
-        monkeypatch.setattr(sim_mod, "_choose", choose)
-        monkeypatch.setattr(selection_mod, "_fit_stack", fit_stack)
-        monkeypatch.setattr(model_mod, "_fit_stack", fit_stack)
+        monkeypatch.setattr(selection_mod, "_fit_stack", counting("driver"))
+        monkeypatch.setattr(model_mod, "_fit_stack", counting("other"))
         reports = run_monte_carlo(tiny_config(n_replicates=1))
         assert len(reports) == len(sim_mod.ALL_METHODS) * len(sim_mod.ALL_MODELS)
         # one forward stage at least, and one truncation search per model
-        assert calls["choice"] >= 1 + len(sim_mod.ALL_MODELS)
+        assert calls["driver"] >= 1 + len(sim_mod.ALL_MODELS)
         assert calls["other"] == 0
+
+    @pytest.mark.filterwarnings("ignore::fflqr.errors.RankDeficiencyWarning")
+    def test_replicates_share_each_selection_core_call(self, monkeypatch):
+        # A window of replicates makes as many selection core calls as its
+        # longest replicate makes requests, not their sum.
+        requests, core_calls = {}, []
+        real_reports, real_fit_stack = sim_mod._replicate_reports, selection_mod._fit_stack
+
+        def counted_reports(config, replicate, *rest):
+            steps, reply = real_reports(config, replicate, *rest), None
+            requests[replicate] = 0
+            while True:
+                try:
+                    request = steps.send(reply)
+                except StopIteration as stop:
+                    return stop.value
+                requests[replicate] += 1
+                reply = yield request
+
+        def fit_stack(*args):
+            core_calls.append(len(args[0]))
+            return real_fit_stack(*args)
+
+        monkeypatch.setattr(sim_mod, "_replicate_reports", counted_reports)
+        monkeypatch.setattr(selection_mod, "_fit_stack", fit_stack)
+        monkeypatch.setattr(sim_mod, "_WINDOW", 3)
+        reports = run_monte_carlo(tiny_config(n_replicates=3), methods=("fflqr",))
+        assert [r.replicate for r in reports] == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+        assert len(core_calls) == max(requests.values()) < sum(requests.values())
+
+    @staticmethod
+    def study_bytes(reports):
+        return [repr(r) for r in reports]
+
+    @pytest.mark.filterwarnings("ignore::fflqr.errors.RankDeficiencyWarning")
+    def test_window_and_threads_do_not_change_reports(self, monkeypatch):
+        config = tiny_config(n_replicates=5)
+        reference = self.study_bytes(run_monte_carlo(config, n_threads=1))
+        assert self.study_bytes(run_monte_carlo(config, n_threads=3)) == reference
+        monkeypatch.setattr(sim_mod, "_WINDOW", 1)
+        assert self.study_bytes(run_monte_carlo(config, n_threads=1)) == reference
+        assert self.study_bytes(run_monte_carlo(config, n_threads=3)) == reference
+
+    @pytest.mark.filterwarnings("ignore::fflqr.errors.RankDeficiencyWarning")
+    def test_failed_request_drops_only_its_replicate(self, monkeypatch):
+        config = tiny_config(n_replicates=5)
+        reference = run_monte_carlo(config, n_threads=1)
+        # Every problem on replicate 1's response scores goes unsolved, in
+        # whichever merged core call it lands.
+        scores = []
+        real_decompose, real_fit_stack = sim_mod._decompose, selection_mod._fit_stack
+
+        def decompose(Y, *rest):
+            dec = real_decompose(Y, *rest)
+            scores.append(dec[0][1])
+            return dec
+
+        def fit_stack(designs, responses, taus):
+            coefs, solved = real_fit_stack(designs, responses, taus)
+            for g, response in enumerate(responses):
+                if len(scores) > 1 and np.shares_memory(response, scores[1]):
+                    solved[g] = False
+            return coefs, solved
+
+        monkeypatch.setattr(sim_mod, "_decompose", decompose)
+        monkeypatch.setattr(selection_mod, "_fit_stack", fit_stack)
+        reports = run_monte_carlo(config, n_threads=1)
+        assert len(scores) == config.n_replicates
+        want = [r for r in reference if r.replicate != 1]
+        assert self.study_bytes(reports) == self.study_bytes(want)
+
+    @pytest.mark.filterwarnings("ignore::fflqr.errors.RankDeficiencyWarning")
+    def test_one_bspline_response_expansion_per_replicate(self, monkeypatch):
+        expanded = []
+        real = model_mod._basis_coordinates
+
+        def coordinates(sample, *rest):
+            expanded.append(sample.values.tobytes())
+            return real(sample, *rest)
+
+        monkeypatch.setattr(model_mod, "_basis_coordinates", coordinates)
+        monkeypatch.setattr(sim_mod, "_basis_coordinates", coordinates)
+        config = tiny_config(n_replicates=2)
+        reports = run_monte_carlo(config)
+        assert sum(r.method == "bspline-ls" for r in reports) == 2 * len(sim_mod.ALL_MODELS)
+        assert len(expanded) == len(set(expanded)) == config.n_replicates
 
     @pytest.mark.filterwarnings("ignore::fflqr.errors.RankDeficiencyWarning")
     def test_point_fit_unmoved_by_paired_band_levels(self):
