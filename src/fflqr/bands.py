@@ -176,20 +176,23 @@ def direct_band(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
-    (fits,) = _fit_for("fflqr", Y_train, X_train, [alpha / 2, 1 - alpha / 2], k_y, k_x)
-    return _paired_band(fits, X_test, alpha, Y_train.grid)
+    return _paired_band(Y_train, X_train, X_test, alpha, k_y, k_x)
 
 
-def _paired_band(fits, X_test, alpha: float, grid: Grid) -> PredictionBand:
-    """Band between the predictions of a lower and an upper quantile fit.
+def _paired_band(Y, X, X_test, alpha: float, k_y: int, k_x: int, indices=None,
+                 decs=None) -> PredictionBand:
+    """Band between the predictions of the quantile fits at ``alpha/2`` and
+    ``1 - alpha/2``, both solved in one ``_fit_for`` call (on the
+    decomposition ``decs`` when given, with predictor labels ``indices``).
 
     Pointwise crossings (lower fit above upper fit) are swapped and their
     frequency reported on the band.
     """
+    (fits,) = _fit_for("fflqr", Y, X, [alpha / 2, 1 - alpha / 2], k_y, k_x, indices, decs)
     lower, upper = (predict(_unwrap(fit), X_test).values for fit in fits)
     rate = float(np.mean(lower > upper))
     lower, upper = np.minimum(lower, upper), np.maximum(lower, upper)
-    return PredictionBand(lower, upper, alpha, grid, rate)
+    return PredictionBand(lower, upper, alpha, Y.grid, rate)
 
 
 def _check_band_shapes(band: PredictionBand, Y_true: FunctionalSample) -> None:

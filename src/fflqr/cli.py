@@ -21,16 +21,8 @@ from . import __version__
 from .bands import bootstrap_band, direct_band, write_band_csv
 from .errors import ConfigError, DataError, NumericalError
 from .fdata import read_sample_csv, write_sample_csv
-from .model import (
-    FflqrFit,
-    _decompose,
-    fit_fflqr,
-    load_model,
-    predict,
-    save_model,
-    score_objective,
-)
-from .selection import _choose, _widths, write_trace_csv
+from .model import FflqrFit, fit_fflqr, load_model, predict, save_model, score_objective
+from .selection import _select, write_trace_csv
 from .simulate import (
     ALL_METHODS,
     ALL_MODELS,
@@ -155,12 +147,8 @@ def cmd_fit(args) -> int:
     try:
         indices = tuple(range(1, len(X) + 1))
         if args.select or args.tune:
-            if args.select:
-                indices, widths = None, _widths(Y, X, args.fixed_k, args.ky_max, args.kx_max)
-            else:
-                widths = args.ky_max, [args.kx_max] * len(X)
-            indices, k_y, k_x, trace, _, fit = _choose(
-                Y, _decompose(Y, X, *widths), args.tau, indices,
+            indices, k_y, k_x, trace, _, fit = _select(
+                Y, X, args.tau, None if args.select else indices,
                 args.fixed_k, args.ky_max, args.kx_max,
             )
             name = "selection_trace.csv" if args.select else "bic_trace.csv"

@@ -131,11 +131,16 @@ def _drive(steps) -> list:
     return results
 
 
-def bic_truncation(Y: FunctionalSample, X, tau: float, k_y: int, k_x: int) -> float:
-    """BIC of an (k_y, k_x) truncation: log-loss norm plus ``(k_y + k_x) ln n``."""
+def _loss_at(Y: FunctionalSample, X, tau: float, k_y: int, k_x: int) -> float:
+    """``log_loss_norm`` of the fit on every predictor of X at ``(k_y, k_x)``."""
     dec = _decompose(Y, X, k_y, [k_x] * len(X))
     (loss,), _ = _unwrap(_drive([_losses(Y, dec, [(range(len(X)), k_x)], tau, k_y)])[0])
-    return _unwrap(loss)[-1] + (k_y + k_x) * math.log(Y.n)
+    return _unwrap(loss)[-1]
+
+
+def bic_truncation(Y: FunctionalSample, X, tau: float, k_y: int, k_x: int) -> float:
+    """BIC of an (k_y, k_x) truncation: log-loss norm plus ``(k_y + k_x) ln n``."""
+    return _loss_at(Y, X, tau, k_y, k_x) + (k_y + k_x) * math.log(Y.n)
 
 
 def _search_truncation(Y, dec, D, tau: float, k_y_max: int, k_x_max: int):
@@ -174,10 +179,7 @@ def select_truncation(
         The minimizing pair (ties broken toward smaller ``k_y + k_x``, then
         smaller ``k_y``) and the full evaluation trace.
     """
-    if k_y_max < 1 or k_x_max < 1:
-        raise ValueError("truncation maxima must be at least 1")
-    dec = _decompose(Y, X, k_y_max, [k_x_max] * len(X))
-    return _choose(Y, dec, tau, tuple(range(1, len(X) + 1)), None, k_y_max, k_x_max)[1:4]
+    return _select(Y, X, tau, tuple(range(1, len(X) + 1)), None, k_y_max, k_x_max)[1:4]
 
 
 def bic_candidate(
@@ -189,9 +191,7 @@ def bic_candidate(
         raise ValueError("candidate predictor set must be nonempty")
     if len(D) != len(X_subset) or len(set(D)) != len(D):
         raise ValueError("one predictor sample per distinct index in D required")
-    dec = _decompose(Y, X_subset, k_y, [k_x] * len(D))
-    (loss,), _ = _unwrap(_drive([_losses(Y, dec, [(range(len(D)), k_x)], tau, k_y)])[0])
-    return _unwrap(loss)[-1] + len(D) * math.log(Y.n) / (2 * Y.n)
+    return _loss_at(Y, X_subset, tau, k_y, k_x) + len(D) * math.log(Y.n) / (2 * Y.n)
 
 
 def _improves(bic_prev: float, bic_new: float, ratio_threshold: float) -> bool:
@@ -238,9 +238,8 @@ def forward_select(
     """
     if len(X) < 1:
         raise ValueError("need at least one candidate predictor")
-    dec = _decompose(Y, X, *_widths(Y, X, fixed_k, k_y_max, k_x_max))
-    D, k_y, k_x, trace, _, _ = _choose(
-        Y, dec, tau, None, fixed_k, k_y_max, k_x_max, ratio_threshold
+    D, k_y, k_x, trace, _, _ = _select(
+        Y, X, tau, None, fixed_k, k_y_max, k_x_max, ratio_threshold
     )
     return SelectionResult(k_y, k_x, D, trace)
 
@@ -256,23 +255,31 @@ def _widths(Y, X, fixed_k, k_y_max, k_x_max) -> tuple:
     ]
 
 
-def _choose(Y, dec, tau, D, fixed_k, k_y_max, k_x_max, ratio_threshold=0.95) -> tuple:
-    """The one model-choice procedure on ``dec``, a ``_decompose`` output of Y and
-    every candidate: forward stages at ``fixed_k`` pick the labels when ``D`` is
-    None, then the truncation search runs up to the maxima, bounded by the widths
-    of ``dec`` over Y and the chosen predictors (``_widths`` caps those at
-    ``min(n - 1, p)``). Returns the labels, ``k_y``, ``k_x``, the trace,
-    ``dec`` cut to that model and its ``FflqrFit`` at ``tau``: the search's own
-    solve of that model, which a refit on the cut ``dec`` matches bitwise.
-    This is ``_drive`` on one ``_choice``; the Monte Carlo study drives the
-    ``_choice`` of every replicate in a window together."""
-    steps = _choice(Y, dec, tau, D, fixed_k, k_y_max, k_x_max, ratio_threshold)
+def _select(Y, X, tau, D, fixed_k, k_y_max, k_x_max, ratio_threshold=0.95) -> tuple:
+    """The one model choice on Y and the candidates X: forward stages at
+    ``fixed_k`` pick the labels when ``D`` is None, then the truncation search
+    runs up to the maxima. Forward selection decomposes at ``_widths``; given
+    ``D``, every sample is decomposed at the maxima as given, so one above
+    ``min(n - 1, p)`` raises ``ValueError``, as one below 1 does. Returns the
+    labels, ``k_y``, ``k_x``, the trace, the decomposition cut to that model
+    and its ``FflqrFit`` at ``tau``: the search's own solve, which a refit on
+    the cut decomposition matches bitwise."""
+    if D is None:
+        widths = _widths(Y, X, fixed_k, k_y_max, k_x_max)
+    elif min(k_y_max, k_x_max) < 1:
+        raise ValueError("truncation maxima must be at least 1")
+    else:
+        widths = k_y_max, [k_x_max] * len(X)
+    steps = _choice(Y, _decompose(Y, X, *widths), tau, D, fixed_k, k_y_max, k_x_max,
+                    ratio_threshold)
     return _unwrap(_drive([steps])[0])
 
 
 def _choice(Y, dec, tau, D, fixed_k, k_y_max, k_x_max, ratio_threshold=0.95):
-    """Generator behind ``_choose``: one ``_fit_stack`` request per forward
-    stage and one for the truncation search."""
+    """Generator behind ``_select`` on ``dec``, a ``_decompose`` output of Y
+    and every candidate, whose widths bound the truncation search; the Monte
+    Carlo study drives one per replicate. One ``_fit_stack`` request per
+    forward stage and one for the truncation search."""
     n = Y.n
     response, preds = dec
     trace, chosen, current_bic = [], [], None

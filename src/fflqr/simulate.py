@@ -462,9 +462,8 @@ def _replicate_reports(config: SimConfig, replicate: int, child, methods, models
                 )
             reports.append(report(method, band))
             if method == "fflqr" and alpha is not None:
-                levels = [alpha / 2.0, 1.0 - alpha / 2.0]
-                (fits,) = _fit_for(method, Y, X_tr, levels, k_y, k_x, D, [model_dec])
-                reports.append(report("fflqr-direct", _paired_band(fits, X_te, alpha, Y.grid)))
+                band = _paired_band(Y, X_tr, X_te, alpha, k_y, k_x, D, [model_dec])
+                reports.append(report("fflqr-direct", band))
     return reports
 
 
@@ -534,12 +533,10 @@ def run_monte_carlo(
 
     children = np.random.SeedSequence(config.master_seed).spawn(config.n_replicates)
 
-    def replicate(r):
-        # Made inside a generator, so a NumericalError at the call fails r alone.
-        return (yield from _replicate_reports(config, r, children[r], methods, models, alpha))
-
     def task(window):
-        return _drive([replicate(r) for r in window])
+        return _drive([
+            _replicate_reports(config, r, children[r], methods, models, alpha) for r in window
+        ])
 
     replicates = range(config.n_replicates)
     windows = [replicates[i:i + _WINDOW] for i in replicates[::_WINDOW]]

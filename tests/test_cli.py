@@ -583,9 +583,10 @@ class TestBenchmark:
         real = sim_mod._replicate_reports
 
         def fail_replicate_1(config, replicate, *rest):
+            # a generator function, as the real one is: replicate 1 raises on its first step
             if replicate == 1:
                 raise NumericalError("replicate 1 failed")
-            return real(config, replicate, *rest)
+            return (yield from real(config, replicate, *rest))
 
         monkeypatch.setattr(sim_mod, "_replicate_reports", fail_replicate_1)
         out = self.run_benchmark(tmp_path, "bench", extra=("--replicates", "5"))

@@ -258,6 +258,30 @@ class TestTruncationNesting:
             assert e.bic == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
+class TestTracesAgreeWithPublicBic:
+    """Each BIC in a search trace equals the public BIC of its candidate, so
+    the penalties the searches add inline stay those of ``bic_truncation``
+    and ``bic_candidate``; the smallest penalty step here, ln(200) / 400, is
+    0.013."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_search_traces_equal_public_bics(self, seed):
+        data = generate_dataset(SimConfig(error_dist="chisq1"), seed)
+        Y, X = data.Y_train, data.X_train
+        _, _, trace = select_truncation(Y, X, 0.5, 3, 3)
+        assert len(trace) == 9
+        for e in trace:
+            assert abs(e.bic - bic_truncation(Y, X, 0.5, e.k_y, e.k_x)) <= 1e-9
+        res = forward_select(Y, X, 0.5, fixed_k=2, k_y_max=3, k_x_max=3)
+        stages = [e for e in res.bic_trace if e.stage != "truncation"]
+        assert len({e.stage for e in stages}) >= 2
+        for e in stages:
+            D = tuple(int(i) for i in e.candidate.strip("{}").split(","))
+            want = bic_candidate(Y, [X[i - 1] for i in D], 0.5, D, 2, 2)
+            assert (e.k_y, e.k_x) == (2, 2)
+            assert abs(e.bic - want) <= 1e-9
+
+
 UNSOLVED_NOTE = (
     "response column 0: interior point did not converge in 200 iterations "
     "or could not factor its normal equations"
@@ -352,7 +376,7 @@ class TestStackedCalls:
 
 
 class TestChosenFit:
-    """The fit ``_choose`` returns is the truncation search's own solve."""
+    """The fit ``_select`` returns is the truncation search's own solve."""
 
     @pytest.mark.filterwarnings("ignore::fflqr.errors.RankDeficiencyWarning")
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -363,9 +387,8 @@ class TestChosenFit:
         data = generate_dataset(config, seed)
         Y, X = data.Y_train, data.X_train
         ks = (config.fixed_k, config.k_y_max, config.k_x_max)
-        dec = _decompose(Y, X, *selection._widths(Y, X, *ks))
         for labels in (tuple(range(1, config.M + 1)), config.significant, None):
-            D, k_y, k_x, _, model_dec, fit = selection._choose(Y, dec, tau, labels, *ks)
+            D, k_y, k_x, _, model_dec, fit = selection._select(Y, X, tau, labels, *ks)
             X_fit = [X[i - 1] for i in D]
             ((refit,),) = _fit_for("fflqr", Y, X_fit, [tau], k_y, k_x, D, [model_dec])
             assert fit.coefs.shape == (1 + len(D) * k_x, k_y)
@@ -395,10 +418,16 @@ class TestDrive:
             cases.append((Y, dec, 0.5, labels, *ks))
         return cases
 
+    @staticmethod
+    def alone(case):
+        # One choice driven by itself, as ``_select`` drives it.
+        (result,) = selection._drive([selection._choice(*case)])
+        return result
+
     @pytest.mark.filterwarnings("ignore::fflqr.errors.RankDeficiencyWarning")
     def test_ragged_choices_merge_by_response_width(self, monkeypatch):
         cases = self.choice_cases()
-        alone = [selection._choose(*case) for case in cases]
+        alone = [self.alone(case) for case in cases]
         calls = []
         real = selection._fit_stack
 
@@ -433,7 +462,7 @@ class TestDrive:
             [fails_at_start(), selection._choice(*case), fails_after_a_solve()]
         )
         assert [str(r) for r in results[::2]] == ["at start", "after a solve"]
-        assert results[1][5].coefs.tobytes() == selection._choose(*case)[5].coefs.tobytes()
+        assert results[1][5].coefs.tobytes() == self.alone(case)[5].coefs.tobytes()
 
 
 class TestInputContract:

@@ -599,7 +599,9 @@ class TestRunMonteCarlo:
 
     def test_too_many_failed_replicates_raise(self, monkeypatch):
         def always_fail(config, replicate, child, methods, models, alpha):
+            # a generator function, as the real one is: it raises on its first step
             raise NumericalError("boom")
+            yield
 
         monkeypatch.setattr(sim_mod, "_replicate_reports", always_fail)
         with pytest.raises(NumericalError, match="replicates failed"):
