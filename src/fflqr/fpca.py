@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 
-from .fdata import FunctionalSample, Grid, center
+from .fdata import FunctionalSample, Grid
 
 __all__ = ["FpcBasis", "fpc_decompose", "project_scores", "reconstruct"]
 
@@ -56,9 +57,13 @@ def fpc_decompose(sample: FunctionalSample, n_components: int) -> tuple[FpcBasis
     """Extract leading principal components of a functional sample.
 
     Only the ``n_components`` leading eigenpairs of the weighted covariance
-    are computed (LAPACK's MRRR driver ``dsyevr``). A slice of a larger
-    decomposition (``_leading``) matches a fresh decomposition at the
-    smaller truncation to rounding.
+    are computed, by one direct LAPACK ``dsyevr`` call with the workspace
+    ``dsyevr_lwork`` returns: bisection and inverse iteration (``dstebz``,
+    ``dstein``) on the tridiagonal form, or MRRR (``dstemr``) when all ``p``
+    are asked for. A slice of a larger decomposition (``_leading``) matches
+    a fresh decomposition at the smaller truncation to rounding. An
+    overflowing covariance raises ``ValueError``, and a LAPACK failure
+    ``LinAlgError`` (a ``ValueError`` too).
 
     Parameters
     ----------
@@ -86,13 +91,26 @@ def fpc_decompose(sample: FunctionalSample, n_components: int) -> tuple[FpcBasis
         )
     K = n_components
 
-    centered, mean = center(sample)
+    mean = sample.values.mean(axis=0)
+    centered = sample.values - mean
     w = sample.grid.weights
     sqrt_w = np.sqrt(w)
 
-    cov = centered.values.T @ centered.values / n
-    sym = sqrt_w[:, None] * cov * sqrt_w[None, :]
-    eigvals, eigvecs = scipy.linalg.eigh(sym, subset_by_index=[p - K, p - 1], driver="evr")
+    # Overflow is reported once, by the check below, not also as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = centered.T @ centered / n
+        sym = sqrt_w[:, None] * cov * sqrt_w[None, :]
+    if not np.isfinite(sym).all():
+        raise ValueError("the weighted covariance is not finite; rescale the curves")
+    # The call scipy.linalg.eigh(sym, subset_by_index=[p - K, p - 1],
+    # driver="evr") makes; another workspace size changes the bytes.
+    lwork, liwork, _ = dsyevr_lwork(p, lower=1)
+    eigvals, eigvecs, m, _, info = dsyevr(
+        sym, compute_v=1, range="I", lower=1, il=p - K + 1, iu=p, lwork=int(lwork), liwork=liwork
+    )
+    if info != 0:
+        raise LinAlgError(f"dsyevr failed with info = {info}")
+    eigvals, eigvecs = eigvals[:m], eigvecs[:, :m]
     order = np.argsort(eigvals)[::-1]
     lam = eigvals[order]
     vecs = eigvecs[:, order]
@@ -108,7 +126,7 @@ def fpc_decompose(sample: FunctionalSample, n_components: int) -> tuple[FpcBasis
     funcs = np.where(peaks[:, None] < 0, -funcs, funcs)
 
     basis = FpcBasis(sample.grid, mean, funcs, lam)
-    scores = centered.values @ (funcs * w).T
+    scores = centered @ (funcs * w).T
     return basis, scores
 
 
@@ -121,7 +139,7 @@ def _leading(decomposition: tuple, k: int) -> tuple:
 
 def project_scores(basis: FpcBasis, sample: FunctionalSample) -> np.ndarray:
     """Project curves onto a fitted basis after removing its stored mean."""
-    if not sample.grid.close_to(basis.grid):
+    if sample.grid is not basis.grid and not sample.grid.close_to(basis.grid):
         raise ValueError("sample grid does not match the basis grid")
     centered = sample.values - basis.mean
     return centered @ (basis.eigenfunctions * basis.grid.weights).T

@@ -3,8 +3,10 @@
 from itertools import combinations
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import linprog
 
+from fflqr.fdata import center
 from fflqr.fpca import _EIGVAL_RTOL, FpcBasis
 from fflqr.qreg import check_loss
 
@@ -60,22 +62,37 @@ def mspe_naive(true_values, pred_values, points):
     return total / len(true_values)
 
 
-def full_fpca(sample, K):
-    """``fpc_decompose`` from the full eigendecomposition of the weighted
-    covariance (``np.linalg.eigh``), with the same zero cutoff and sign rule."""
-    values, w = sample.values, sample.grid.weights
-    mean = values.mean(axis=0)
-    centered = values - mean
+def _fpca(sample, K, eigh):
+    """The steps of ``fpc_decompose`` with ``eigh`` for its eigensolver:
+    ``center``, the weighted covariance ``sym``, ``eigh(sym)``, the zero
+    cutoff and the sign rule."""
+    centered, mean = center(sample)
+    w = sample.grid.weights
     sqrt_w = np.sqrt(w)
-    cov = centered.T @ centered / len(values)
-    eigvals, eigvecs = np.linalg.eigh(sqrt_w[:, None] * cov * sqrt_w[None, :])
+    cov = centered.values.T @ centered.values / len(centered.values)
+    eigvals, eigvecs = eigh(sqrt_w[:, None] * cov * sqrt_w[None, :])
     order = np.argsort(eigvals)[::-1][:K]
     lam, vecs = eigvals[order], eigvecs[:, order]
     lam = np.where(lam < (_EIGVAL_RTOL * lam[0] if lam[0] > 0.0 else np.inf), 0.0, lam)
     funcs = (vecs / sqrt_w[:, None]).T
     peaks = funcs[np.arange(K), np.argmax(np.abs(funcs), axis=1)]
     funcs = np.where(peaks[:, None] < 0, -funcs, funcs)
-    return FpcBasis(sample.grid, mean, funcs, lam), centered @ (funcs * w).T
+    return FpcBasis(sample.grid, mean, funcs, lam), centered.values @ (funcs * w).T
+
+
+def full_fpca(sample, K):
+    """``fpc_decompose`` from the full eigendecomposition of the weighted
+    covariance (``np.linalg.eigh``), with the same zero cutoff and sign rule."""
+    return _fpca(sample, K, np.linalg.eigh)
+
+
+def evr_fpca(sample, K):
+    """``fpc_decompose`` through ``scipy.linalg.eigh``'s ``dsyevr`` driver on
+    the ``K`` leading eigenpairs, which it must match bit for bit."""
+    p = sample.grid.size
+    return _fpca(
+        sample, K, lambda sym: scipy.linalg.eigh(sym, subset_by_index=[p - K, p - 1], driver="evr")
+    )
 
 
 def masked_step(v, dv):

@@ -13,7 +13,7 @@ import fflqr
 import fflqr.simulate as sim_mod
 from fflqr.cli import main
 from fflqr.errors import NumericalError
-from fflqr.fdata import read_sample_csv
+from fflqr.fdata import FunctionalSample, read_sample_csv, write_sample_csv
 from fflqr.fpca import fpc_decompose
 from fflqr.model import fit_fflqr, fit_fpc_ls, load_model, predict, save_model
 from fflqr.selection import forward_select, select_truncation, write_trace_csv
@@ -306,6 +306,40 @@ class TestFit:
         ])
         assert code == 4
         assert "numerical error: response column 0" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_curves_exit_2(self, tmp_path, capsys):
+        # Finite curves of 1e200 overflow the covariance.
+        sim = simulate(tmp_path)
+        paths = []
+        for name in ("Y_train", "X2_train"):
+            sample = read_sample_csv(sim / f"{name}.csv")
+            paths.append(tmp_path / f"{name}_1e200.csv")
+            write_sample_csv(FunctionalSample(sample.values * 1e200, sample.grid), paths[-1])
+        code = main([
+            "fit", "--y", str(paths[0]), "--x", str(paths[1]),
+            "--ky", "2", "--kx", "2", "--out", str(tmp_path / "f"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "covariance is not finite" in err
+
+    def test_lapack_failure_exits_2(self, tmp_path, monkeypatch, capsys):
+        real = fflqr.fpca.dsyevr
+
+        def failing(*args, **kwargs):
+            *out, _ = real(*args, **kwargs)
+            return (*out, 1)
+
+        sim = simulate(tmp_path)
+        monkeypatch.setattr(fflqr.fpca, "dsyevr", failing)
+        code = main([
+            "fit", "--y", str(sim / "Y_train.csv"), "--x", str(sim / "X2_train.csv"),
+            "--ky", "2", "--kx", "2", "--out", str(tmp_path / "f"),
+        ])
+        assert code == 2
+        assert "config error: dsyevr failed with info = 1" in capsys.readouterr().err
 
     def test_select_caps_truncation_maxima(self, tmp_path):
         # 120 curves on 100 grid points: the grid size caps --ky-max 300.

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import LinAlgError
 
+from fflqr import fpca
 from fflqr.fdata import FunctionalSample, Grid, inner_product, make_uniform_grid
 from fflqr.fpca import _leading, fpc_decompose, project_scores, reconstruct
-from oracles import full_fpca
+from oracles import evr_fpca, full_fpca
 
 
 def smooth_sample(rng, n, grid, n_harmonics=6, decay=0.6):
@@ -231,3 +233,67 @@ def assert_matches_reference(decomposition, reference, sample):
         peak = np.argmax(np.abs(f))
         assert np.sign(f_top[peak]) == np.sign(f[peak])
         assert np.abs(f_top - f).max() <= 1e-8 * np.abs(f).max()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 60),
+    p=st.integers(2, 70),
+    share=st.floats(0.0, 1.0),
+    kind=st.sampled_from(["random", "repeated", "constant"]),
+    uniform=st.booleans(),
+)
+@example(seed=0, n=60, p=70, share=0.1, kind="random", uniform=True)
+@example(seed=1, n=50, p=40, share=0.5, kind="repeated", uniform=False)
+@example(seed=2, n=10, p=45, share=1.0, kind="constant", uniform=True)
+def test_bitwise_equal_to_scipy_eigh(seed, n, p, share, kind, uniform):
+    # fpc_decompose calls dsyevr as scipy.linalg.eigh(driver="evr") would,
+    # workspace included, so every output keeps its bytes.
+    rng = np.random.default_rng(seed)
+    if uniform:
+        g = make_uniform_grid(p, 0.0, 1.0)
+    else:
+        g = Grid.from_points(np.cumsum(rng.uniform(0.05, 2.0, size=p)))
+    vals = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+    if kind == "repeated":
+        vals[n // 2:] = vals[: n - n // 2]  # rank-deficient: repeated curves
+    elif kind == "constant":
+        vals[:] = np.round(vals[0])  # integer curves: an exact mean, zero covariance
+    sample = FunctionalSample(vals, g)
+    K = 1 + int(share * (min(n - 1, p) - 1))
+    (basis, scores), (ref, ref_scores) = fpc_decompose(sample, K), evr_fpca(sample, K)
+    for got, want in [
+        (basis.mean, ref.mean),
+        (basis.eigenvalues, ref.eigenvalues),
+        (basis.eigenfunctions, ref.eigenfunctions),
+        (scores, ref_scores),
+    ]:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert basis.rank_deficient == ref.rank_deficient
+    if kind == "constant":
+        assert not basis.eigenvalues.any()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_covariance_raises():
+    # Curves of 1e200 overflow the covariance: one ValueError, no warning.
+    rng = np.random.default_rng(11)
+    g = make_uniform_grid(30, 0.0, 1.0)
+    sample = FunctionalSample(smooth_sample(rng, 20, g).values * 1e200, g)
+    with pytest.raises(ValueError, match="covariance is not finite"):
+        fpc_decompose(sample, 2)
+
+
+def test_lapack_failure_raises_linalg_error(monkeypatch):
+    real = fpca.dsyevr
+
+    def failing(*args, **kwargs):
+        *out, _ = real(*args, **kwargs)
+        return (*out, 1)
+
+    monkeypatch.setattr(fpca, "dsyevr", failing)
+    rng = np.random.default_rng(12)
+    g = make_uniform_grid(20, 0.0, 1.0)
+    with pytest.raises(LinAlgError, match="info = 1"):
+        fpc_decompose(smooth_sample(rng, 10, g), 2)
