@@ -2,8 +2,13 @@
 
 Every command writes its outputs plus a ``manifest.json`` recording the
 resolved configuration and seed, so any run can be reproduced from its
-output directory alone. Exit codes: 0 success, 2 configuration error,
-3 data error, 4 numerical failure.
+output directory alone. ``main`` is the one shell around the commands: it
+times each command, writes its manifest from the record the command returns
+and maps its errors to exit codes: 0 success, 2 configuration error, 3 data
+error (or a file that cannot be read or written), 4 numerical failure.
+Typed errors keep their codes; any other ``ValueError`` a command lets
+through is a configuration error for ``simulate``, ``fit`` and ``benchmark``
+and a data error for ``predict`` and ``interval``.
 """
 
 from __future__ import annotations
@@ -43,20 +48,23 @@ def _out_dir(path_str: str) -> Path:
     return out
 
 
-def _write_manifest(out, command, config, inputs, outputs, seed, started, **extra):
-    doc = {
-        "command": command,
+def _write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+
+
+def _write_manifest(args, started, finished, config, inputs, outputs, master_seed, **extra):
+    _write_json(Path(args.out) / "manifest.json", {
+        "command": args.command,
         "config": config,
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
-        "master_seed": seed,
+        "master_seed": master_seed,
         "version": __version__,
         "started": started,
-        "finished": _now(),
+        "finished": finished,
         **extra,
-    }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+    })
 
 
 def _load_config(args) -> SimConfig:
@@ -92,8 +100,7 @@ def _read_samples(y_path, x_paths):
     return Y, X
 
 
-def cmd_simulate(args) -> int:
-    started = _now()
+def cmd_simulate(args) -> dict:
     config = _load_config(args)
     out = _out_dir(args.out)
     data = generate_dataset(config, np.random.SeedSequence(config.master_seed))
@@ -117,20 +124,13 @@ def cmd_simulate(args) -> int:
         "master_seed": config.master_seed,
         "contaminated_train_rows": list(data.contaminated),
     }
-    with open(out / "truth.json", "w", encoding="utf-8") as fh:
-        json.dump(truth, fh, indent=2)
+    _write_json(out / "truth.json", truth)
     outputs.append("truth.json")
-
-    _write_manifest(
-        out, "simulate", config.to_dict(),
-        [args.config] if args.config else [], outputs,
-        config.master_seed, started,
-    )
-    return 0
+    return dict(config=config.to_dict(), inputs=[args.config] if args.config else [],
+                outputs=outputs, master_seed=config.master_seed)
 
 
-def cmd_fit(args) -> int:
-    started = _now()
+def cmd_fit(args) -> dict:
     given = [k for k in (args.ky, args.kx) if k is not None]
     if len(given) != (0 if args.tune or args.select else 2):
         raise ConfigError(
@@ -140,26 +140,21 @@ def cmd_fit(args) -> int:
     Y, X = _read_samples(args.y, args.x)
     outputs = []
 
-    # Values the data cannot support (tau outside (0, 1), truncations above
-    # the covariance rank) surface as ValueError from the fitting layers.
     # --tune and --select decompose each sample once, and the fit is the
     # search's own solve of the chosen model.
-    try:
-        indices = tuple(range(1, len(X) + 1))
-        if args.select or args.tune:
-            indices, k_y, k_x, trace, _, fit = _select(
-                Y, X, args.tau, None if args.select else indices,
-                args.fixed_k, args.ky_max, args.kx_max,
-            )
-            name = "selection_trace.csv" if args.select else "bic_trace.csv"
-            write_trace_csv(trace, out / name)
-            outputs.append(name)
-        else:
-            k_y, k_x = args.ky, args.kx
-            fit = fit_fflqr(Y, X, args.tau, k_y, k_x)
-        X_fit = [X[i - 1] for i in indices]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    indices = tuple(range(1, len(X) + 1))
+    if args.select or args.tune:
+        indices, k_y, k_x, trace, _, fit = _select(
+            Y, X, args.tau, None if args.select else indices,
+            args.fixed_k, args.ky_max, args.kx_max,
+        )
+        name = "selection_trace.csv" if args.select else "bic_trace.csv"
+        write_trace_csv(trace, out / name)
+        outputs.append(name)
+    else:
+        k_y, k_x = args.ky, args.kx
+        fit = fit_fflqr(Y, X, args.tau, k_y, k_x)
+    X_fit = [X[i - 1] for i in indices]
     save_model(fit, out / "model.json")
     outputs.append("model.json")
 
@@ -171,37 +166,22 @@ def cmd_fit(args) -> int:
         "n": Y.n,
         "in_sample_objective": score_objective(fit, Y, X_fit).tolist(),
     }
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
+    _write_json(out / "report.json", report)
     outputs.append("report.json")
-
-    _write_manifest(
-        out, "fit",
-        {"tau": args.tau, "k_y": k_y, "k_x": k_x, "predictors": list(indices)},
-        [args.y, *args.x], outputs, None, started,
-    )
-    return 0
+    return dict(config={"tau": args.tau, "k_y": k_y, "k_x": k_x, "predictors": list(indices)},
+                inputs=[args.y, *args.x], outputs=outputs, master_seed=None)
 
 
-def cmd_predict(args) -> int:
-    started = _now()
+def cmd_predict(args) -> dict:
     out = _out_dir(args.out)
     fit = load_model(args.model)
     X = [read_sample_csv(p) for p in args.x]
-    try:
-        pred = predict(fit, X)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    write_sample_csv(pred, out / "Y_pred.csv")
-    _write_manifest(
-        out, "predict", {"model": str(args.model)},
-        [args.model, *args.x], ["Y_pred.csv"], None, started,
-    )
-    return 0
+    write_sample_csv(predict(fit, X), out / "Y_pred.csv")
+    return dict(config={"model": str(args.model)}, inputs=[args.model, *args.x],
+                outputs=["Y_pred.csv"], master_seed=None)
 
 
-def cmd_interval(args) -> int:
-    started = _now()
+def cmd_interval(args) -> dict:
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError(f"--alpha must lie strictly inside (0, 1), got {args.alpha}")
     if args.method == "bootstrap" and args.R < 2:
@@ -218,20 +198,13 @@ def cmd_interval(args) -> int:
     Y_train, X_train = _read_samples(args.train_y, args.train_x)
     k_y = fit.response_basis.n_components
     k_x = fit.predictor_bases[0].n_components
-    # Curves that do not match the model or each other (predictor count,
-    # grids) surface as ValueError from predict and the band builders.
-    try:
-        pred = predict(fit, X)
-        if args.method == "bootstrap":
-            band = bootstrap_band(
-                Y_train, X_train, X, fit.tau, args.alpha, k_y, k_x,
-                R=args.R, seed=args.seed,
-            )
-        else:
-            band = direct_band(Y_train, X_train, X, args.alpha, k_y, k_x)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-
+    pred = predict(fit, X)
+    if args.method == "bootstrap":
+        band = bootstrap_band(
+            Y_train, X_train, X, fit.tau, args.alpha, k_y, k_x, R=args.R, seed=args.seed
+        )
+    else:
+        band = direct_band(Y_train, X_train, X, args.alpha, k_y, k_x)
     write_sample_csv(pred, out / "Y_pred.csv")
     write_band_csv(band, out / "lower.csv", out / "upper.csv")
     meta = {
@@ -242,41 +215,25 @@ def cmd_interval(args) -> int:
         "crossing_rate": band.crossing_rate,
         "failed_refits": band.failed_refits,
     }
-    with open(out / "band.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
-    _write_manifest(
-        out, "interval", meta,
-        [args.model, args.train_y, *args.train_x, *args.x],
-        ["Y_pred.csv", "lower.csv", "upper.csv", "band.json"],
-        meta["seed"], started,
-    )
-    return 0
+    _write_json(out / "band.json", meta)
+    return dict(config=meta, inputs=[args.model, args.train_y, *args.train_x, *args.x],
+                outputs=["Y_pred.csv", "lower.csv", "upper.csv", "band.json"],
+                master_seed=meta["seed"])
 
 
-def cmd_benchmark(args) -> int:
-    started = _now()
+def cmd_benchmark(args) -> dict:
     config = _load_config(args)
     out = _out_dir(args.out)
     methods = args.methods.split(",") if args.methods else list(ALL_METHODS)
     models = args.models.split(",") if args.models else list(ALL_MODELS)
-    # A selected model's designs depend on the data; one wider than the
-    # training sample surfaces as ValueError from the fitting layers.
-    try:
-        reports = run_monte_carlo(
-            config, methods, models, alpha=args.alpha, n_threads=args.threads
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    reports = run_monte_carlo(config, methods, models, alpha=args.alpha, n_threads=args.threads)
     done = {r.replicate for r in reports}
     failed = [r for r in range(config.n_replicates) if r not in done]
-    outputs = write_study_tables(reports, out)
-    _write_manifest(
-        out, "benchmark",
-        {**config.to_dict(), "methods": methods, "models": models, "alpha": args.alpha},
-        [args.config] if args.config else [], outputs,
-        config.master_seed, started, failed_replicates=failed,
+    return dict(
+        config={**config.to_dict(), "methods": methods, "models": models, "alpha": args.alpha},
+        inputs=[args.config] if args.config else [], outputs=write_study_tables(reports, out),
+        master_seed=config.master_seed, failed_replicates=failed,
     )
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate one synthetic train/test split")
     add_config_flags(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, value_error=ConfigError)
 
     p = sub.add_parser("fit", help="fit the quantile model to CSV data")
     p.add_argument("--y", required=True, help="response CSV")
@@ -317,13 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed-k", dest="fixed_k", type=int, default=2,
                    help="truncation used while selecting predictors")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit)
+    # Values the data cannot support (tau outside (0, 1), truncations above
+    # the covariance rank) surface as ValueError from the fitting layers.
+    p.set_defaults(func=cmd_fit, value_error=ConfigError)
 
     p = sub.add_parser("predict", help="predict curves from a saved model")
     p.add_argument("--model", required=True, help="model JSON path")
     p.add_argument("--x", required=True, nargs="+")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_predict)
+    p.set_defaults(func=cmd_predict, value_error=DataError)
 
     p = sub.add_parser("interval", help="prediction bands for new curves")
     p.add_argument("--model", required=True)
@@ -337,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=int, default=100, help="bootstrap replicates")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_interval)
+    # Curves that do not match the model or each other (predictor count,
+    # grids) surface as ValueError from predict and the band builders.
+    p.set_defaults(func=cmd_interval, value_error=DataError)
 
     p = sub.add_parser("benchmark", help="Monte Carlo method comparison")
     add_config_flags(p)
@@ -350,14 +311,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads across replicates (default: 1)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_benchmark)
+    # A selected model's designs depend on the data; one wider than the
+    # training sample surfaces as ValueError from the fitting layers.
+    p.set_defaults(func=cmd_benchmark, value_error=ConfigError)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = _now()
     try:
-        return args.func(args)
+        try:
+            record = args.func(args)
+        except ValueError as exc:
+            raise args.value_error(str(exc)) from exc
+        _write_manifest(args, started, _now(), **record)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

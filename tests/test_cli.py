@@ -743,3 +743,109 @@ class TestBadValueExitCodes:
         ])
         assert code == 3
         assert "grid points must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_train", 1), ("n_test", 0), ("n_grid", 1), ("M", 0), ("lag", -1),
+        ("sigma", -1), ("outlier_var", -1), ("fixed_k", 0), ("k_y_max", 0),
+        ("k_x_max", 0), ("bootstrap_R", 1),
+    ])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, **{field: value})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: {**doc, "kind": "spline"},
+        lambda doc: {**doc, "response_basis": {
+            **doc["response_basis"],
+            "eigenvalues": [float("nan"), *doc["response_basis"]["eigenvalues"][1:]],
+        }},
+    ], ids=["unknown-kind", "nan-eigenvalue"])
+    def test_bad_model_exits_3(self, tmp_path, capsys, corrupt):
+        sim = simulate(tmp_path)
+        fitted = fit_dir(tmp_path, sim)
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(corrupt(json.loads((fitted / "model.json").read_text()))))
+        capsys.readouterr()
+        code = main([
+            "predict", "--model", str(model),
+            "--x", str(sim / "X2_test.csv"), str(sim / "X4_test.csv"),
+            "--out", str(tmp_path / "p"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:"), err
+
+    # A ValueError from any call a command makes, not only from the fitting
+    # layers, takes the command's kind, and no manifest is written.
+    @pytest.mark.parametrize("command, target, code, kind", [
+        ("simulate", "generate_dataset", 2, "config"),
+        ("fit", "score_objective", 2, "config"),
+        ("predict", "write_sample_csv", 3, "data"),
+        ("interval", "write_sample_csv", 3, "data"),
+        ("benchmark", "write_study_tables", 2, "config"),
+    ])
+    def test_stray_value_error_takes_command_kind(
+        self, tmp_path, monkeypatch, capsys, command, target, code, kind
+    ):
+        sim = simulate(tmp_path)
+        cfg = str(tmp_path / "config.json")
+        model = str(fit_dir(tmp_path, sim) / "model.json")
+        x_test = ["--x", str(sim / "X2_test.csv"), str(sim / "X4_test.csv")]
+        args = {
+            "simulate": ["--config", cfg],
+            "fit": ["--y", str(sim / "Y_train.csv"), "--x", str(sim / "X2_train.csv"),
+                    "--ky", "2", "--kx", "2"],
+            "predict": ["--model", model, *x_test],
+            "interval": ["--model", model, *x_test, "--train-y", str(sim / "Y_train.csv"),
+                         "--train-x", str(sim / "X2_train.csv"), str(sim / "X4_train.csv"),
+                         "--method", "direct"],
+            "benchmark": ["--config", cfg, "--methods", "fflqr", "--models", "true"],
+        }[command]
+
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(f"fflqr.cli.{target}", boom)
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main([command, *args, "--out", str(out)]) == code
+        assert capsys.readouterr().err.splitlines() == [f"{kind} error: boom"]
+        assert not (out / "manifest.json").exists()
+
+
+class TestManifest:
+    KEYS = ["command", "config", "inputs", "outputs", "master_seed", "version",
+            "started", "finished"]
+
+    def test_every_command_writes_its_manifest(self, tmp_path):
+        sim = simulate(tmp_path, "data")
+        fit = fit_dir(tmp_path, sim)
+        y = ["--y", str(sim / "Y_train.csv")]
+        x_test = ["--x", str(sim / "X2_test.csv"), str(sim / "X4_test.csv")]
+        train = ["--train-y", str(sim / "Y_train.csv"),
+                 "--train-x", str(sim / "X2_train.csv"), str(sim / "X4_train.csv")]
+        runs = {
+            "tune": ["fit", *y, "--x", str(sim / "X2_train.csv"), "--tune",
+                     "--ky-max", "2", "--kx-max", "2"],
+            "select": ["fit", *y, "--x", str(sim / "X2_train.csv"), str(sim / "X4_train.csv"),
+                       "--select", "--fixed-k", "1", "--ky-max", "2", "--kx-max", "2"],
+            "pred": ["predict", "--model", str(fit / "model.json"), *x_test],
+            "boot": ["interval", "--model", str(fit / "model.json"), *x_test, *train,
+                     "--R", "4"],
+            "band": ["interval", "--model", str(fit / "model.json"), *x_test, *train,
+                     "--method", "direct"],
+            "bench": ["benchmark", "--config", str(write_config(tmp_path)),
+                      "--methods", "fflqr", "--models", "true"],
+        }
+        for name, argv in runs.items():
+            assert main([*argv, "--out", str(tmp_path / name)]) == 0, name
+        commands = {"data": "simulate", "fit": "fit", **{n: a[0] for n, a in runs.items()}}
+        for name, command in commands.items():
+            out = tmp_path / name
+            doc = json.loads((out / "manifest.json").read_text())
+            extra = ["failed_replicates"] if command == "benchmark" else []
+            assert list(doc) == self.KEYS + extra, name
+            assert doc["command"] == command
+            assert doc["outputs"] and all((out / f).exists() for f in doc["outputs"]), name
