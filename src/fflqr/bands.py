@@ -111,7 +111,10 @@ def bootstrap_band(
     ``fit_fflqr`` on its resample bitwise; all check-loss problems are
     solved in one stacked call. B-spline refits share one coordinate pass.
     Refits that fail numerically are left out and counted on the band;
-    fewer than ``R/2`` successes raise ``NumericalError``.
+    fewer than ``R/2`` successes raise ``NumericalError``. The surviving
+    predictions fill one float64 array of shape ``(refits, n_test, p)``
+    (24 MB at R=100, 300 test curves and 100 grid points), and both
+    quantiles are taken from it in place, without a second copy.
 
     The bounds are quantiles of re-estimated tau-quantile curves, so the band
     covers the spread of the estimated quantile curve, not new response
@@ -142,17 +145,21 @@ def bootstrap_band(
         seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size
     ).spawn(R)
     rows = [np.random.default_rng(child).integers(0, n, size=n) for child in children]
-    fits = [fit for (fit,) in _fit_for(method, Y_train, X_train, [tau], k_y, k_x, rows=rows)]
-    preds = [
-        predict(fit, X_test).values for fit in fits if not isinstance(fit, NumericalError)
+    fits = [
+        fit for (fit,) in _fit_for(method, Y_train, X_train, [tau], k_y, k_x, rows=rows)
+        if not isinstance(fit, NumericalError)
     ]
-    if len(preds) < R / 2:
-        raise NumericalError(
-            f"only {len(preds)} of {R} bootstrap refits succeeded"
-        )
+    if len(fits) < R / 2:
+        raise NumericalError(f"only {len(fits)} of {R} bootstrap refits succeeded")
+    # Shaped by the first prediction, so predict alone checks X_test.
+    first = predict(fits[0], X_test).values
+    stack = np.empty((len(fits),) + first.shape)
+    stack[0] = first
+    for row, fit in zip(stack[1:], fits[1:]):
+        row[...] = predict(fit, X_test).values
     levels = [alpha / 2.0, 1.0 - alpha / 2.0]
-    lower, upper = np.quantile(np.stack(preds), levels, axis=0, method="linear")
-    return PredictionBand(lower, upper, alpha, Y_train.grid, failed_refits=R - len(preds))
+    lower, upper = np.quantile(stack, levels, axis=0, method="linear", overwrite_input=True)
+    return PredictionBand(lower, upper, alpha, Y_train.grid, failed_refits=R - len(fits))
 
 
 def direct_band(

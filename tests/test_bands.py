@@ -1,5 +1,7 @@
 """Tests for prediction bands and the evaluation metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -315,6 +317,51 @@ class TestBootstrapBand:
         monkeypatch.setattr(model_mod, "_fit_stack", self.unsolved_at(np.s_[2::3, :, 1]))
         band = bootstrap_band(Y, [x], [x], 0.5, 0.2, 2, 2, R=7)
         assert band.failed_refits == 2
+
+    def test_bounds_after_failed_refits_use_survivors_only(self, monkeypatch):
+        # refits 2 and 5 of 7 fail; the bounds are the quantiles of the other
+        # five, replayed as public fits on the same resamples
+        rng = np.random.default_rng(10)
+        Y, x = driven_pair(rng)
+        monkeypatch.setattr(model_mod, "_fit_stack", self.unsolved_at(np.s_[2::3, :, 1]))
+        R, seed = 7, 0
+        band = bootstrap_band(Y, [x], [x], 0.5, 0.2, 2, 2, R=R, seed=seed)
+        monkeypatch.undo()
+        children = np.random.SeedSequence(seed).spawn(R)
+        preds = []
+        for r in (0, 1, 3, 4, 6):
+            rows = np.random.default_rng(children[r]).integers(0, Y.n, size=Y.n)
+            Y_r = FunctionalSample(Y.values[rows], Y.grid)
+            X_r = [FunctionalSample(x.values[rows], x.grid)]
+            preds.append(predict(fit_fflqr(Y_r, X_r, 0.5, 2, 2), [x]).values)
+        stack = np.stack(preds)
+        np.testing.assert_array_equal(band.lower, np.quantile(stack, 0.1, axis=0))
+        np.testing.assert_array_equal(band.upper, np.quantile(stack, 0.9, axis=0))
+
+    def test_peak_memory_holds_one_prediction_stack(self):
+        # predictions dominate this band: R * n_test * p doubles. The band
+        # holds one such stack and takes its quantiles in place; a copy of
+        # it or a second stack beside it would break the bound.
+        rng = np.random.default_rng(13)
+        Y, x = driven_pair(rng, n=40, p=50)
+        _, x_test = driven_pair(rng, n=400, p=50)
+        R = 20
+        stack_bytes = R * x_test.n * x_test.grid.size * 8
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            bootstrap_band(Y, [x], [x_test], 0.5, 0.2, 2, 2, R=R, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 2 * stack_bytes
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_wrong_test_predictor_count_raises_from_predict(self, count):
+        rng = np.random.default_rng(14)
+        Y, x = driven_pair(rng)
+        with pytest.raises(ValueError, match=f"model uses 1 predictors, got {count}"):
+            bootstrap_band(Y, [x], [x] * count, 0.5, 0.2, 2, 2, R=4)
 
     def test_singular_bspline_grid_fails_every_refit(self):
         # 24 of 25 points in [0, 0.1]: most of the 20 basis functions have no
