@@ -346,6 +346,24 @@ class TestFpcLs:
         xi = project_scores(a.response_basis, Y)
         np.testing.assert_allclose(a.coefs, np.linalg.pinv(design) @ xi, rtol=1e-9, atol=1e-12)
 
+    def test_every_level_gets_the_row_set_fit(self):
+        # a least squares fit ignores the level: each row set is fit once,
+        # at tau 0.5, and equals fit_fpc_ls on its resample bitwise
+        rng = np.random.default_rng(16)
+        g = make_uniform_grid(20, 0.0, 1.0)
+        x, z = smooth_predictors(rng, 30, g, m=2)
+        Y = FunctionalSample(np.cumsum(rng.normal(size=(30, 20)), axis=1) * 0.2, g)
+        rows = [rng.integers(0, 30, size=30) for _ in range(2)]
+        fits = _fit_for("fpc-ls", Y, [x, z], [0.2, 0.8], 2, 2, rows=rows)
+        assert len(fits) == 2
+        for r, level_fits in zip(rows, fits):
+            Y_r, x_r, z_r = (FunctionalSample(s.values[r], g) for s in (Y, x, z))
+            alone = fit_fpc_ls(Y_r, [x_r, z_r], 2, 2)
+            assert len(level_fits) == 2
+            for fit in level_fits:
+                assert (fit.tau, fit.method) == (0.5, "fpc-ls")
+                assert fit.coefs.tobytes() == alone.coefs.tobytes()
+
 
 class TestBsplineLs:
     def test_fits_and_predicts(self):
