@@ -172,11 +172,12 @@ def _fit_for(method, Y, X, taus, k_y, k_x, predictor_indices=None, decs=None,
     by default the whole sample is fit once. ``fits[i][j]`` fits row set i
     at ``taus[j]``, or is the ``NumericalError`` that stopped it. Score
     methods decompose each row set at ``(k_y, k_x)``, or fit the
-    ``_decompose`` outputs ``decs`` (selection hands over slices this way),
-    and solve every fit, level and response score in one stacked call. The
-    B-spline method expands the curves once, or takes ``decs`` as the
-    response's ``_basis_coordinates``, and solves each row set on its rows.
-    Least squares fits ignore the level; ``fpc-ls`` fits carry 0.5.
+    ``_decompose`` outputs ``decs`` (selection hands over slices this way);
+    ``fflqr`` solves every fit, level and response score in one stacked
+    call. The B-spline method expands the curves once, or takes ``decs`` as
+    the response's ``_basis_coordinates``, and solves each row set on its
+    rows. Least squares fits ignore the level: each row set gets one fit,
+    repeated across the levels, and ``fpc-ls`` fits carry 0.5.
     """
     if method == "bspline-ls":
         # Its one numerical failure, a singular Gram matrix, depends on the grid alone.
@@ -189,25 +190,18 @@ def _fit_for(method, Y, X, taus, k_y, k_x, predictor_indices=None, decs=None,
         raise ValueError(f"unknown method {method!r}")
     if decs is None:
         # One row set at a time: only its decomposition outlives it.
-        decs = (_decompose(Y, X, k_y, [k_x] * len(X), r) for r in rows)
-    decs = list(decs)
+        decs = [_decompose(Y, X, k_y, [k_x] * len(X), r) for r in rows]
     indices = _resolve_indices(decs[0][1], predictor_indices)
     designs = np.stack([_design(zeta for _, zeta in preds) for _, preds in decs])
     xis = np.stack([xi for (_, xi), _ in decs])
-    if method == "fflqr":
-        coefs, solved = _fit_stack(designs, xis, taus)
-    else:
-        taus = [0.5] * len(taus)
-        coefs = np.stack([[_ls_solve(d, xi)] * len(taus) for d, xi in zip(designs, xis)])
-        solved = np.ones(coefs.shape[:2] + coefs.shape[3:], dtype=bool)
-    fits = []
-    for ((response_basis, _), preds), sample_coefs, sample_solved in zip(decs, coefs, solved):
-        bases = tuple(basis for basis, _ in preds)
-        fits.append([
-            _column_failure(ok) or FflqrFit(tau, response_basis, bases, c, indices, method)
-            for tau, c, ok in zip(taus, sample_coefs, sample_solved)
-        ])
-    return fits
+    bases = [(basis, tuple(b for b, _ in preds)) for (basis, _), preds in decs]
+    if method == "fpc-ls":
+        return [[FflqrFit(0.5, *b, _ls_solve(d, xi), indices, method)] * len(taus)
+                for b, d, xi in zip(bases, designs, xis)]
+    coefs, solved = _fit_stack(designs, xis, taus)
+    return [[_column_failure(ok) or FflqrFit(tau, *b, c, indices, method)
+             for tau, c, ok in zip(taus, sample_coefs, sample_solved)]
+            for b, sample_coefs, sample_solved in zip(bases, coefs, solved)]
 
 
 def _unwrap(fit):

@@ -52,31 +52,22 @@ def check_loss(u, tau: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _validate(design, responses, tau: float, ndim: int) -> tuple:
-    """Float arrays of a design and its response vector (``ndim=1``) or
-    response columns (``ndim=2``), checked for shape, tau and finiteness."""
-    design = np.asarray(design, dtype=float)
-    responses = np.asarray(responses, dtype=float)
+def _check_values(design, responses, taus, ndim: int = 2) -> None:
+    """Raise ``ValueError`` unless ``design`` is a 2-D (n, q) matrix with
+    n >= q, ``responses`` is (n,) (``ndim=1``) or (n, K) (``ndim=2``), every
+    level lies in (0, 1) and all values are finite."""
     if design.ndim != 2:
         raise ValueError("design must be a 2-D matrix")
     n, q = design.shape
     if responses.ndim != ndim or responses.shape[0] != n:
         shape = "(n,)" if ndim == 1 else "(n, K)"
         raise ValueError(f"responses must be {shape} with n matching the design rows")
-    _check_values(design, responses, tau)
-    return design, responses
-
-
-def _check_values(designs, responses, taus) -> None:
-    """Raise ``ValueError`` unless the designs, shaped (..., n, q), have
-    n >= q, every level lies in (0, 1) and all values are finite."""
-    n, q = designs.shape[-2:]
     if n < q:
         raise ValueError(f"need at least as many rows as columns ({n} < {q})")
     taus = np.asarray(taus)
     if not np.all((0.0 < taus) & (taus < 1.0)):
         raise ValueError("tau must lie strictly inside (0, 1)")
-    if not (np.all(np.isfinite(designs)) and np.all(np.isfinite(responses))):
+    if not (np.all(np.isfinite(design)) and np.all(np.isfinite(responses))):
         raise ValueError("design and response must be finite")
 
 
@@ -99,7 +90,9 @@ class QrProblem:
     tau: float
 
     def __post_init__(self):
-        design, response = _validate(self.design, self.response, self.tau, ndim=1)
+        design = np.asarray(self.design, dtype=float)
+        response = np.asarray(self.response, dtype=float)
+        _check_values(design, response, self.tau, ndim=1)
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "response", response)
 
@@ -321,9 +314,9 @@ def _fit_stack(designs, responses, taus) -> tuple:
     ``designs`` holds G (n, q_g) designs of any widths, ``responses`` their
     (n, K) response matrices and ``taus`` T levels. Returns the G (T, q_g, K)
     coefficients and the (G, T, K) mask of the problems solved; ValueError
-    for n < q_g, a level outside (0, 1) or a nonfinite value. Dependent
-    columns get zero coefficients; designs keeping the same columns share a
-    group of the core.
+    from ``_check_values`` for a bad shape, n < q_g, a level outside (0, 1)
+    or a nonfinite value. Dependent columns get zero coefficients; designs
+    keeping the same columns share a group of the core.
     """
     taus = np.asarray(taus, dtype=float)
     for design, response in zip(designs, responses):
@@ -380,7 +373,8 @@ def qr_fit_multi(design: np.ndarray, responses: np.ndarray, tau: float) -> np.nd
         ``RankDeficiencyWarning`` is emitted. A column whose problem is not
         solved raises ``NumericalError`` naming it.
     """
-    design, responses = _validate(design, responses, tau, ndim=2)
+    design = np.asarray(design, dtype=float)
+    responses = np.asarray(responses, dtype=float)
     coefs, solved = _fit_stack([design], [responses], [tau])
     failure = _column_failure(solved[0, 0])
     if failure is not None:

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import NumericalError
 from .fdata import FunctionalSample
 from .fpca import _leading
-from .model import FflqrFit, _decompose, _design, _unwrap
+from .model import FflqrFit, _decompose, _design, _unwrap, fit_fflqr, predict
 from .qreg import _column_failure, _fit_stack, check_loss
 
 __all__ = [
@@ -103,7 +103,7 @@ def _drive(steps) -> list:
     Each generator yields ``(designs, responses, taus)`` requests and is sent
     back their ``_fit_stack`` result. Each round merges the pending requests
     of the narrowest response width (and the same levels) into one core
-    call, the only one of selection; wider ones wait, so a truncation search
+    call, the only one of the searches; wider ones wait, so a truncation search
     merges with the searches that follow other generators' forward stages. A
     problem's coefficients do not depend on its stack, so no result changes.
     """
@@ -132,10 +132,9 @@ def _drive(steps) -> list:
 
 
 def _loss_at(Y: FunctionalSample, X, tau: float, k_y: int, k_x: int) -> float:
-    """``log_loss_norm`` of the fit on every predictor of X at ``(k_y, k_x)``."""
-    dec = _decompose(Y, X, k_y, [k_x] * len(X))
-    (loss,), _ = _unwrap(_drive([_losses(Y, dec, [(range(len(X)), k_x)], tau, k_y)])[0])
-    return _unwrap(loss)[-1]
+    """``log_loss_norm`` of the in-sample prediction of ``fit_fflqr`` on every
+    predictor of X at ``(k_y, k_x)``."""
+    return log_loss_norm(Y, predict(fit_fflqr(Y, X, tau, k_y, k_x), X), tau)
 
 
 def bic_truncation(Y: FunctionalSample, X, tau: float, k_y: int, k_x: int) -> float:
