@@ -70,6 +70,7 @@ _FIELD_KINDS = {
     "float": ("a finite number", _is_finite_real),
     "bool": ("true or false", lambda value: isinstance(value, bool)),
     "str": ("a string", lambda value: isinstance(value, str)),
+    "tuple": ("a list of labels", np.iterable),
 }
 
 

@@ -135,6 +135,12 @@ class TestSimulate:
         assert "significant must be one or more distinct labels" in err
         assert "Traceback" not in err
 
+    def test_scalar_significant_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, significant=5)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: significant must be a list of labels, got 5\n"
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
         assert "master_seed must be nonnegative" in capsys.readouterr().err

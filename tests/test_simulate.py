@@ -293,6 +293,16 @@ class TestSimConfig:
         with pytest.raises(ConfigError, match=msg):
             SimConfig(**kw)
 
+    @pytest.mark.parametrize("significant", [5, None, np.array(4)])
+    def test_significant_that_is_not_a_list_names_the_field(self, significant):
+        with pytest.raises(ConfigError) as info:
+            SimConfig(significant=significant)
+        assert str(info.value) == f"significant must be a list of labels, got {significant!r}"
+
+    @pytest.mark.parametrize("significant", [(2, 4), [2, 4], np.array([2, 4])])
+    def test_significant_takes_any_sequence(self, significant):
+        assert SimConfig(significant=significant).significant == (2, 4)
+
     def test_dict_round_trip(self):
         config = tiny_config(error_dist="chisq1", significant=(1, 3))
         again = SimConfig.from_dict(config.to_dict())
