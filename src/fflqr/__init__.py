@@ -34,7 +34,6 @@ from .fdata import (
 )
 from .fpca import FpcBasis, fpc_decompose, project_scores, reconstruct
 from .model import (
-    BsplineLsFit,
     CoefficientSurface,
     FflqrFit,
     coefficient_surface,
@@ -91,7 +90,6 @@ __all__ = [
     "qr_fit_multi",
     "qr_objective",
     "FflqrFit",
-    "BsplineLsFit",
     "CoefficientSurface",
     "fit_fflqr",
     "fit_fpc_ls",

@@ -109,7 +109,8 @@ def bootstrap_band(
     over replicates (linear interpolation of order statistics). A score
     refit decomposes its rows once, at exactly ``(k_y, k_x)``, so it equals
     ``fit_fflqr`` on its resample bitwise; all check-loss problems are
-    solved in one stacked call. B-spline refits share one coordinate pass.
+    solved in one stacked call. B-spline bases are fixed, so all curves are
+    expanded once and each refit takes its rows of that.
     Refits that fail numerically are left out and counted on the band;
     fewer than ``R/2`` successes raise ``NumericalError``. The surviving
     predictions fill one float64 array of shape ``(refits, n_test, p)``
@@ -144,7 +145,8 @@ def bootstrap_band(
     children = np.random.SeedSequence(
         seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size
     ).spawn(R)
-    rows = [np.random.default_rng(child).integers(0, n, size=n) for child in children]
+    # Drawn as they are fit, so no resample outlives its fit.
+    rows = (np.random.default_rng(child).integers(0, n, size=n) for child in children)
     fits = [
         fit for (fit,) in _fit_for(method, Y_train, X_train, [tau], k_y, k_x, rows=rows)
         if not isinstance(fit, NumericalError)

@@ -26,7 +26,7 @@ from . import __version__
 from .bands import bootstrap_band, direct_band, write_band_csv
 from .errors import ConfigError, DataError, NumericalError
 from .fdata import read_sample_csv, write_sample_csv
-from .model import FflqrFit, fit_fflqr, load_model, predict, save_model, score_objective
+from .model import fit_fflqr, load_model, predict, save_model, score_objective
 from .selection import _select, write_trace_csv
 from .simulate import (
     ALL_METHODS,
@@ -192,7 +192,7 @@ def cmd_interval(args) -> dict:
         raise DataError(f"{len(args.train_x)} --train-x CSVs for {len(args.x)} --x CSVs")
     out = _out_dir(args.out)
     fit = load_model(args.model)
-    if not isinstance(fit, FflqrFit) or fit.method != "fflqr":
+    if fit.method != "fflqr":
         raise ConfigError("interval construction needs a quantile (fflqr) model")
     X = [read_sample_csv(p) for p in args.x]
     Y_train, X_train = _read_samples(args.train_y, args.train_x)

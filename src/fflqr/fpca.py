@@ -24,7 +24,9 @@ _EIGVAL_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class FpcBasis:
-    """Leading eigenfunctions of a sample covariance operator.
+    """Leading eigenfunctions of a sample covariance operator, or a fixed
+    basis that takes their place (the B-spline baseline's: zero mean, the
+    basis functions as components).
 
     Parameters
     ----------
@@ -33,10 +35,13 @@ class FpcBasis:
     mean : ndarray, shape (p,)
         Sample mean curve removed before the decomposition.
     eigenfunctions : ndarray, shape (K, p)
-        Eigenfunctions, orthonormal under the grid's quadrature weights.
+        Eigenfunctions, orthonormal under the grid's quadrature weights for
+        an FPCA basis.
     eigenvalues : ndarray, shape (K,)
-        Matching eigenvalues in decreasing order, all nonnegative; numerically
-        zero ones are exactly 0.0, and ``rank_deficient`` says if any are.
+        Variance (divisor n) of each component's training scores. For an
+        FPCA basis these are its eigenvalues, in decreasing order, with
+        numerically zero ones exactly 0.0; ``rank_deficient`` says if any
+        is 0.0.
     """
 
     grid: Grid

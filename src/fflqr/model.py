@@ -3,14 +3,14 @@
 The quantile model represents response and predictors by their leading
 principal component scores, regresses response scores on predictor scores
 under the check loss, and maps fitted scores back to curves. Two least
-squares baselines share the prediction interface: one on the same score
-representation, one on a B-spline expansion of the curves.
+squares baselines share the fitted-model type: one on the same score
+representation, one on the scores of a fixed B-spline basis.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral
 
 import numpy as np
@@ -24,7 +24,6 @@ from .qreg import _column_failure, _fit_stack, qr_objective
 
 __all__ = [
     "FflqrFit",
-    "BsplineLsFit",
     "CoefficientSurface",
     "fit_fflqr",
     "fit_fpc_ls",
@@ -57,7 +56,9 @@ class FflqrFit:
     predictor_indices : tuple of int
         Original 1-based predictor labels, in design order.
     method : str
-        "fflqr" for check-loss fits, "fpc-ls" for the least squares variant.
+        "fflqr" for check-loss fits, "fpc-ls" for the least squares variant
+        on principal components, "bspline-ls" for least squares on fixed
+        B-spline bases (zero mean, one basis function per component).
     """
 
     tau: float
@@ -75,32 +76,6 @@ class FflqrFit:
             raise ValueError("one predictor index per predictor basis required")
         if len({b.n_components for b in self.predictor_bases}) > 1:
             raise ValueError("predictor bases must have equal numbers of components")
-
-
-@dataclass(frozen=True)
-class BsplineLsFit:
-    """Function-on-function least squares on a B-spline representation.
-
-    Parameters
-    ----------
-    theta : ndarray, shape (1 + M * n_basis, n_basis)
-        Regression coefficients mapping the predictors' inner products with
-        the basis (intercept first) to response basis coordinates.
-    response_grid, predictor_grids : Grid
-        Evaluation grids of the training curves.
-    n_basis, order : int
-        B-spline dimension and order shared by all expansions.
-    predictor_indices : tuple of int
-        Original 1-based predictor labels, in design order.
-    """
-
-    theta: np.ndarray
-    response_grid: Grid
-    predictor_grids: tuple
-    n_basis: int
-    order: int
-    predictor_indices: tuple
-    method: str = "bspline-ls"
 
 
 @dataclass(frozen=True)
@@ -156,6 +131,33 @@ def _decompose(Y: FunctionalSample, X, k_y: int, k_xs, rows=slice(None)) -> tupl
     return fpc_decompose(Y, k_y), [fpc_decompose(x, k) for x, k in zip(X, k_xs)]
 
 
+def _bspline_scores(sample: FunctionalSample, n_basis: int, order: int, role: str) -> tuple:
+    """The clamped B-spline basis on ``sample``'s grid, evaluated once, and
+    the sample's scores on it: weighted least squares coordinates for the
+    response, quadrature inner products for a predictor. The basis has zero
+    mean and the basis functions as components; each eigenvalue is the
+    variance (divisor n) of its component's scores, as in FPCA."""
+    grid = sample.grid
+    if n_basis > grid.size:
+        raise ValueError(f"n_basis exceeds the number of {role} grid points")
+    B = bspline_design(grid.points, n_basis, order, grid.points[0], grid.points[-1])
+    basis = FpcBasis(grid, np.zeros(grid.size), B.T, np.zeros(n_basis))
+    scores = (_basis_coordinates(sample, basis) if role == "response"
+              else project_scores(basis, sample))
+    return replace(basis, eigenvalues=scores.var(axis=0)), scores
+
+
+def _bspline_decompose(Y: FunctionalSample, X, n_basis: int = 20, order: int = 4) -> tuple:
+    """The B-spline twin of ``_decompose``: ``(basis, coordinates)`` of the
+    response and one ``(basis, inner products)`` per predictor. The bases
+    are fixed, so a row set's decomposition is its rows of this one."""
+    if not 2 <= order <= n_basis:
+        raise ValueError("need order >= 2 and n_basis >= order")
+    _validate_samples(Y, X)
+    return (_bspline_scores(Y, n_basis, order, "response"),
+            [_bspline_scores(x, n_basis, order, "predictor") for x in X])
+
+
 def _design(blocks) -> np.ndarray:
     """An intercept column in front of the per-predictor blocks."""
     blocks = list(blocks)
@@ -168,40 +170,43 @@ def _fit_for(method, Y, X, taus, k_y, k_x, predictor_indices=None, decs=None,
     training sample ``(Y, X)`` at each level of ``taus``; the only method
     dispatch.
 
-    ``rows`` holds one row-index array per fit (a bootstrap resample, say);
+    ``rows`` yields one row-index array per fit (a bootstrap resample, say);
     by default the whole sample is fit once. ``fits[i][j]`` fits row set i
-    at ``taus[j]``, or is the ``NumericalError`` that stopped it. Score
-    methods decompose each row set at ``(k_y, k_x)``, or fit the
-    ``_decompose`` outputs ``decs`` (selection hands over slices this way);
+    at ``taus[j]``, or is the ``NumericalError`` that stopped it. Every
+    method regresses response scores on predictor scores, taken from
+    ``decs`` when given: one ``_decompose`` or ``_bspline_decompose`` output
+    per row set (selection hands over slices this way). Otherwise the FPC
+    methods decompose each row set at ``(k_y, k_x)``, and ``bspline-ls``
+    expands all curves once and takes each row set's rows of that.
     ``fflqr`` solves every fit, level and response score in one stacked
-    call. The B-spline method expands the curves once, or takes ``decs`` as
-    the response's ``_basis_coordinates``, and solves each row set on its
-    rows. Least squares fits ignore the level: each row set gets one fit,
-    repeated across the levels, and ``fpc-ls`` fits carry 0.5.
+    call. Least squares fits ignore the level: each row set gets one fit,
+    repeated across the levels, carrying 0.5.
     """
-    if method == "bspline-ls":
-        # Its one numerical failure, a singular Gram matrix, depends on the grid alone.
-        try:
-            fits = _fit_bspline(Y, X, rows, predictor_indices=predictor_indices, coords=decs)
-        except NumericalError as exc:
-            fits = [exc] * len(rows)
-        return [[fit] * len(taus) for fit in fits]
-    if method not in ("fflqr", "fpc-ls"):
+    if method not in ("fflqr", "fpc-ls", "bspline-ls"):
         raise ValueError(f"unknown method {method!r}")
-    if decs is None:
+    if decs is None and method == "bspline-ls":
+        try:
+            (basis, coords), preds = _bspline_decompose(Y, X)
+        except NumericalError as exc:
+            # A singular Gram matrix depends on the grid alone: every fit fails.
+            return [[exc] * len(taus) for _ in rows]
+        # Sliced as each row set is solved, so only one copy is alive at a time.
+        decs = (((basis, coords[r]), [(b, z[r]) for b, z in preds]) for r in rows)
+    elif decs is None:
         # One row set at a time: only its decomposition outlives it.
         decs = [_decompose(Y, X, k_y, [k_x] * len(X), r) for r in rows]
-    indices = _resolve_indices(decs[0][1], predictor_indices)
-    designs = np.stack([_design(zeta for _, zeta in preds) for _, preds in decs])
+    indices = _resolve_indices(X, predictor_indices)
+    if method != "fflqr":
+        return [[FflqrFit(0.5, basis, tuple(b for b, _ in preds),
+                          _ls_solve(_design(z for _, z in preds), xi), indices, method)]
+                * len(taus) for (basis, xi), preds in decs]
+    designs = np.stack([_design(z for _, z in preds) for _, preds in decs])
     xis = np.stack([xi for (_, xi), _ in decs])
-    bases = [(basis, tuple(b for b, _ in preds)) for (basis, _), preds in decs]
-    if method == "fpc-ls":
-        return [[FflqrFit(0.5, *b, _ls_solve(d, xi), indices, method)] * len(taus)
-                for b, d, xi in zip(bases, designs, xis)]
     coefs, solved = _fit_stack(designs, xis, taus)
-    return [[_column_failure(ok) or FflqrFit(tau, *b, c, indices, method)
+    return [[_column_failure(ok) or FflqrFit(float(tau), basis, tuple(b for b, _ in preds), c,
+                                             indices, method)
              for tau, c, ok in zip(taus, sample_coefs, sample_solved)]
-            for b, sample_coefs, sample_solved in zip(bases, coefs, solved)]
+            for ((basis, _), preds), sample_coefs, sample_solved in zip(decs, coefs, solved)]
 
 
 def _unwrap(fit):
@@ -262,56 +267,19 @@ def _ls_solve(design: np.ndarray, responses: np.ndarray) -> np.ndarray:
     return coefs
 
 
-def _basis_on(grid: Grid, n_basis: int, order: int):
-    """The clamped B-spline basis evaluated on ``grid``, shape (p, n_basis),
-    and its copy weighted by the grid's quadrature."""
-    B = bspline_design(grid.points, n_basis, order, grid.points[0], grid.points[-1])
-    return B, B * grid.weights[:, None]
-
-
-def _basis_coordinates(sample: FunctionalSample, n_basis: int = 20, order: int = 4) -> np.ndarray:
-    """The (n, n_basis) weighted least squares coordinates of response curves
-    in the basis."""
-    if n_basis > sample.grid.size:
-        raise ValueError("n_basis exceeds the number of response grid points")
-    B, Bw = _basis_on(sample.grid, n_basis, order)
+def _basis_coordinates(sample: FunctionalSample, basis: FpcBasis) -> np.ndarray:
+    """The (n, K) weighted least squares coordinates of curves in a basis of
+    zero mean."""
+    B = basis.eigenfunctions.T
+    Bw = B * basis.grid.weights[:, None]
     try:
         return scipy.linalg.solve(B.T @ Bw, Bw.T @ sample.values.T, assume_a="pos").T
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"singular B-spline Gram matrix: some of the n_basis={n_basis} basis "
+            f"singular B-spline Gram matrix: some of the n_basis={basis.n_components} basis "
             f"functions have no point of the {sample.grid.size}-point grid of their own "
             f"in their support"
         ) from exc
-
-
-def _bspline_design(X, grids, n_basis: int, order: int) -> np.ndarray:
-    """Intercept-plus-blocks design of the predictor curves' quadrature inner
-    products with the B-spline basis; each ``X[m]`` must lie on ``grids[m]``."""
-    blocks = []
-    for grid, x in zip(grids, X):
-        if not x.grid.close_to(grid):
-            raise ValueError("predictor grid does not match the fitted grid")
-        if n_basis > x.grid.size:
-            raise ValueError("n_basis exceeds the number of predictor grid points")
-        blocks.append(x.values @ _basis_on(x.grid, n_basis, order)[1])
-    return _design(blocks)
-
-
-def _fit_bspline(Y, X, rows, n_basis: int = 20, order: int = 4, predictor_indices=None,
-                 coords=None) -> list:
-    """One ``BsplineLsFit`` per row set of ``(Y, X)``. A curve's expansion
-    depends on that curve alone, so all curves are expanded once; fits that
-    share Y may share its expansion ``coords``."""
-    if not 2 <= order <= n_basis:
-        raise ValueError("need order >= 2 and n_basis >= order")
-    _validate_samples(Y, X)
-    indices = _resolve_indices(X, predictor_indices)
-    grids = tuple(x.grid for x in X)
-    d_resp = _basis_coordinates(Y, n_basis, order) if coords is None else coords
-    design = _bspline_design(X, grids, n_basis, order)
-    return [BsplineLsFit(_ls_solve(design[r], d_resp[r]), Y.grid, grids, n_basis, order, indices)
-            for r in rows]
 
 
 def fit_bspline_ls(
@@ -320,14 +288,16 @@ def fit_bspline_ls(
     n_basis: int = 20,
     order: int = 4,
     predictor_indices=None,
-) -> BsplineLsFit:
+) -> FflqrFit:
     """Function-on-function least squares through B-spline curve expansions.
 
     Response curves enter as weighted least squares coordinates in a clamped
     B-spline basis and predictor curves as their quadrature inner products
-    with it; the coefficient surfaces live in the tensor product of the bases.
+    with it. The fit is a score fit (``method="bspline-ls"``) on these fixed
+    bases, so its coefficient surfaces live in the tensor product of the bases.
     """
-    return _fit_bspline(Y, X, [slice(None)], n_basis, order, predictor_indices)[0]
+    dec = _bspline_decompose(Y, X, n_basis, order)
+    return _unwrap(_fit_for("bspline-ls", Y, X, [0.5], None, None, predictor_indices, [dec])[0][0])
 
 
 def _check_predictors(X, count: int) -> None:
@@ -345,23 +315,18 @@ def _projected_design(fit: FflqrFit, X) -> np.ndarray:
     return _design(project_scores(b, x) for b, x in zip(fit.predictor_bases, X))
 
 
-def predict(fit, X_new) -> FunctionalSample:
+def predict(fit: FflqrFit, X_new) -> FunctionalSample:
     """Predicted response curves for new predictor curves.
 
     Parameters
     ----------
-    fit : FflqrFit or BsplineLsFit
+    fit : FflqrFit
     X_new : list of FunctionalSample
         Same number, order and grids as the predictors used in fitting.
     """
-    if isinstance(fit, FflqrFit):
-        return reconstruct(fit.response_basis, _projected_design(fit, X_new) @ fit.coefs)
-    if not isinstance(fit, BsplineLsFit):
+    if not isinstance(fit, FflqrFit):
         raise TypeError(f"cannot predict from {type(fit).__name__}")
-    _check_predictors(X_new, len(fit.predictor_grids))
-    d_hat = _bspline_design(X_new, fit.predictor_grids, fit.n_basis, fit.order) @ fit.theta
-    B_resp, _ = _basis_on(fit.response_grid, fit.n_basis, fit.order)
-    return FunctionalSample(d_hat @ B_resp.T, fit.response_grid)
+    return reconstruct(fit.response_basis, _projected_design(fit, X_new) @ fit.coefs)
 
 
 def _block_rows(fit: FflqrFit, position: int) -> slice:
@@ -443,27 +408,16 @@ def _basis_from_json(obj: dict) -> FpcBasis:
 
 def save_model(fit, path) -> None:
     """Serialize a fitted model to JSON with full float precision."""
-    if isinstance(fit, FflqrFit):
-        doc = {
-            "kind": fit.method,
-            "tau": fit.tau,
-            "predictor_indices": list(fit.predictor_indices),
-            "coefficients": fit.coefs.tolist(),
-            "response_basis": _basis_to_json(fit.response_basis),
-            "predictor_bases": [_basis_to_json(b) for b in fit.predictor_bases],
-        }
-    elif isinstance(fit, BsplineLsFit):
-        doc = {
-            "kind": fit.method,
-            "n_basis": fit.n_basis,
-            "order": fit.order,
-            "predictor_indices": list(fit.predictor_indices),
-            "theta": fit.theta.tolist(),
-            "response_grid": _grid_to_json(fit.response_grid),
-            "predictor_grids": [_grid_to_json(g) for g in fit.predictor_grids],
-        }
-    else:
+    if not isinstance(fit, FflqrFit):
         raise TypeError(f"cannot serialize {type(fit).__name__}")
+    doc = {
+        "kind": fit.method,
+        "tau": fit.tau,
+        "predictor_indices": list(fit.predictor_indices),
+        "coefficients": fit.coefs.tolist(),
+        "response_basis": _basis_to_json(fit.response_basis),
+        "predictor_bases": [_basis_to_json(b) for b in fit.predictor_bases],
+    }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
@@ -474,7 +428,7 @@ def load_model(path):
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         kind = doc.get("kind") if isinstance(doc, dict) else None
-        if kind in ("fflqr", "fpc-ls"):
+        if kind in ("fflqr", "fpc-ls", "bspline-ls"):
             # JSON holds no integer inside (0, 1), and a bool is no float
             if not (isinstance(doc["tau"], float) and 0.0 < doc["tau"] < 1.0):
                 raise ValueError(f"tau must be a number inside (0, 1), got {doc['tau']!r}")
@@ -488,17 +442,6 @@ def load_model(path):
                 np.array(doc["coefficients"], dtype=float),
                 _resolve_indices(bases, doc["predictor_indices"]),
                 kind,
-            )
-        if kind == "bspline-ls":
-            if not (_is_int(doc["n_basis"]) and _is_int(doc["order"])):
-                raise ValueError("n_basis and order must be integers")
-            return BsplineLsFit(
-                np.array(doc["theta"], dtype=float),
-                _grid_from_json(doc["response_grid"]),
-                tuple(_grid_from_json(g) for g in doc["predictor_grids"]),
-                doc["n_basis"],
-                doc["order"],
-                _resolve_indices(doc["predictor_grids"], doc["predictor_indices"]),
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"model {path} is malformed ({exc!r})") from exc

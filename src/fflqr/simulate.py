@@ -22,7 +22,7 @@ from .bands import MetricsReport, _paired_band, bootstrap_band, cpd, interval_sc
 from .errors import ConfigError, NumericalError
 from .fdata import FunctionalSample, Grid, make_uniform_grid
 from .model import (
-    CoefficientSurface, _basis_coordinates, _decompose, _fit_for, _is_int, _unwrap, predict,
+    CoefficientSurface, _bspline_decompose, _decompose, _fit_for, _is_int, _unwrap, predict,
 )
 from .selection import _choice, _drive, _widths
 
@@ -413,10 +413,10 @@ def generate_dataset(config: SimConfig, seed) -> SimData:
 def _replicate_reports(config: SimConfig, replicate: int, child, methods, models, alpha):
     """Generator of the reports of one replicate: it yields each model
     choice's ``_fit_stack`` requests (see ``selection._drive``) and returns
-    the reports. Each training sample is decomposed once, and the response
-    expanded in the B-spline basis once; every model's selection and fits
-    slice these. The check-loss point fit is the selection's own solve, and
-    with ``alpha`` the paired band's two levels share one stacked solve.
+    the reports. Each training sample is decomposed once, and expanded in
+    its B-spline basis once; every model's selection and fits slice these.
+    The check-loss point fit is the selection's own solve, and with
+    ``alpha`` the paired band's two levels share one stacked solve.
     Only bootstrap refits decompose (their resamples)."""
     data_ss, boot_ss = child.spawn(2)
     data = generate_dataset(config, data_ss)
@@ -426,7 +426,7 @@ def _replicate_reports(config: SimConfig, replicate: int, child, methods, models
     Y, X = data.Y_train, data.X_train
     ks = (config.fixed_k, config.k_y_max, config.k_x_max)
     dec = _decompose(Y, X, *_widths(Y, X, *ks))
-    coords = _basis_coordinates(Y) if "bspline-ls" in methods else None
+    bdec = _bspline_decompose(Y, X) if "bspline-ls" in methods else None
     labels = {"full": tuple(range(1, config.M + 1)), "true": config.significant}
 
     def report(method, band):
@@ -449,7 +449,8 @@ def _replicate_reports(config: SimConfig, replicate: int, child, methods, models
         for method in ALL_METHODS:
             if method not in methods:
                 continue
-            decs = coords if method == "bspline-ls" else [model_dec]
+            decs = [(bdec[0], [bdec[1][i - 1] for i in D]) if method == "bspline-ls"
+                    else model_dec]
             fit = chosen if method == "fflqr" else _unwrap(
                 _fit_for(method, Y, X_tr, [config.tau], k_y, k_x, D, decs)[0][0]
             )

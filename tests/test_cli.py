@@ -15,7 +15,7 @@ from fflqr.cli import main
 from fflqr.errors import NumericalError
 from fflqr.fdata import FunctionalSample, read_sample_csv, write_sample_csv
 from fflqr.fpca import fpc_decompose
-from fflqr.model import fit_fflqr, fit_fpc_ls, load_model, predict, save_model
+from fflqr.model import fit_bspline_ls, fit_fflqr, fit_fpc_ls, load_model, predict, save_model
 from fflqr.selection import forward_select, select_truncation, write_trace_csv
 from fflqr.simulate import SimConfig
 
@@ -529,17 +529,17 @@ class TestInterval:
         sim = simulate(tmp_path)
         Y = read_sample_csv(sim / "Y_train.csv")
         X = [read_sample_csv(sim / "X2_train.csv")]
-        ls = fit_fpc_ls(Y, X, 2, 2)
-        model_path = tmp_path / "ls_model.json"
-        save_model(ls, model_path)
-        code = main([
-            "interval", "--model", str(model_path),
-            "--x", str(sim / "X2_test.csv"),
-            "--train-y", str(sim / "Y_train.csv"),
-            "--train-x", str(sim / "X2_train.csv"),
-            "--out", str(tmp_path / "band"),
-        ])
-        assert code == 2
+        for ls in (fit_fpc_ls(Y, X, 2, 2), fit_bspline_ls(Y, X)):
+            model_path = tmp_path / f"{ls.method}_model.json"
+            save_model(ls, model_path)
+            code = main([
+                "interval", "--model", str(model_path),
+                "--x", str(sim / "X2_test.csv"),
+                "--train-y", str(sim / "Y_train.csv"),
+                "--train-x", str(sim / "X2_train.csv"),
+                "--out", str(tmp_path / "band"),
+            ])
+            assert code == 2, ls.method
 
 
 class TestBenchmark:

@@ -572,7 +572,6 @@ class TestRunMonteCarlo:
             return real(sample, *rest)
 
         monkeypatch.setattr(model_mod, "_basis_coordinates", coordinates)
-        monkeypatch.setattr(sim_mod, "_basis_coordinates", coordinates)
         config = tiny_config(n_replicates=2)
         reports = run_monte_carlo(config)
         assert sum(r.method == "bspline-ls" for r in reports) == 2 * len(sim_mod.ALL_MODELS)
