@@ -17,7 +17,8 @@ leave as they finish; a matrix the batched Cholesky rejects is retried
 alone with jitter. Every operation acts on one problem at a time, so a
 problem's coefficients do not depend on its stack. ``qr_fit_multi`` is the
 public single-design entry; fits, bands and selection solve designs of any
-widths in one core call through ``_fit_stack``.
+widths through ``_fit_stack``, which packs consecutive groups into core
+calls of at most ``_STACK_BYTES`` of stacked designs.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ __all__ = [
 _MAX_ITER = 200
 _GAP_REL = 1e-9
 _STEP_FRAC = 0.9995
+# Stacked design bytes per core call, about one L2 cache. The core sweeps
+# its stack several times per iteration: five n=2000 designs (3.8 MiB)
+# solved 10-15% slower in one call than in five.
+_STACK_BYTES = 2 << 20
 
 
 def check_loss(u, tau: float):
@@ -82,7 +87,7 @@ class QrProblem:
     response : ndarray, shape (n,)
         Observed responses.
     tau : float
-        Quantile level in (0, 1).
+        Quantile level in (0, 1), converted with ``float`` (``"0.5"`` is 0.5).
     """
 
     design: np.ndarray
@@ -92,9 +97,11 @@ class QrProblem:
     def __post_init__(self):
         design = np.asarray(self.design, dtype=float)
         response = np.asarray(self.response, dtype=float)
-        _check_values(design, response, self.tau, ndim=1)
+        tau = np.asarray(self.tau, dtype=float)
+        _check_values(design, response, tau, ndim=1)
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "response", response)
+        object.__setattr__(self, "tau", float(tau))
 
 
 def _mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -307,16 +314,32 @@ def qr_fit(problem: QrProblem) -> np.ndarray:
     return qr_fit_multi(problem.design, problem.response[:, None], problem.tau)[:, 0]
 
 
+def _packs(sizes) -> list:
+    """Consecutive runs of indices whose sizes total at most ``_STACK_BYTES``;
+    an index whose size alone exceeds it forms a run by itself."""
+    packs, total = [], 0
+    for i, size in enumerate(sizes):
+        if not packs or total + size > _STACK_BYTES:
+            packs.append([])
+            total = 0
+        packs[-1].append(i)
+        total += size
+    return packs
+
+
 def _fit_stack(designs, responses, taus) -> tuple:
-    """Fit every response column of every design at every level in one call
-    of the interior-point core.
+    """Fit every response column of every design at every level with the
+    interior-point core.
 
     ``designs`` holds G (n, q_g) designs of any widths, ``responses`` their
     (n, K) response matrices and ``taus`` T levels. Returns the G (T, q_g, K)
     coefficients and the (G, T, K) mask of the problems solved; ValueError
     from ``_check_values`` for a bad shape, n < q_g, a level outside (0, 1)
     or a nonfinite value. Dependent columns get zero coefficients; designs
-    keeping the same columns share a group of the core.
+    keeping the same columns share a group of the core. Consecutive groups
+    share a core call while their stacked designs (one copy per level and
+    column) total at most ``_STACK_BYTES``; a group is never cut. Each
+    problem is solved alone, so the packing changes no bit.
     """
     taus = np.asarray(taus, dtype=float)
     for design, response in zip(designs, responses):
@@ -328,17 +351,22 @@ def _fit_stack(designs, responses, taus) -> tuple:
     for g, design in enumerate(designs):
         groups.setdefault(tuple(_column_rank(design)), []).append(g)
     groups.pop((), None)  # a design of rank 0 keeps zero coefficients
-    order = [g for members in groups.values() for g in members]
-    # Problems in (design, level, response column) order, designs by group.
-    Xs = [np.repeat(np.stack([designs[g][:, keep] for g in members]), T * K, axis=0)
-          for keep, members in groups.items()]
-    y = np.tile(np.asarray(responses)[order].swapaxes(1, 2), (1, T, 1)).reshape(-1, n)
-    b, ok = _frisch_newton(Xs, y, np.repeat(np.tile(taus, len(order)), K))
-    solved[order] = ok.reshape(len(order), T, K)
-    for (keep, members), bg in zip(groups.items(), b):
-        bg = bg.reshape(len(members), T, K, len(keep)).swapaxes(2, 3)
-        for g, c in zip(members, bg):
-            coefs[g][:, list(keep)] = c
+    # Problems in (design, level, response column) order, designs by group,
+    # packed into core calls by the bytes of their stacked designs.
+    groups = list(groups.items())
+    sizes = [len(members) * T * K * n * len(keep) * 8 for keep, members in groups]
+    for pack in _packs(sizes):
+        part = [groups[i] for i in pack]
+        order = [g for _, members in part for g in members]
+        Xs = [np.repeat(np.stack([designs[g][:, keep] for g in members]), T * K, axis=0)
+              for keep, members in part]
+        y = np.tile(np.stack([responses[g] for g in order]).swapaxes(1, 2), (1, T, 1))
+        b, ok = _frisch_newton(Xs, y.reshape(-1, n), np.repeat(np.tile(taus, len(order)), K))
+        solved[order] = ok.reshape(len(order), T, K)
+        for (keep, members), bg in zip(part, b):
+            bg = bg.reshape(len(members), T, K, len(keep)).swapaxes(2, 3)
+            for g, c in zip(members, bg):
+                coefs[g][:, list(keep)] = c
     return coefs, solved
 
 

@@ -237,24 +237,27 @@ def gen_predictors(config: SimConfig, rng, n: int = None) -> list:
     Each predictor is 10 plus a normalized sum of ``lag + 1`` consecutive
     fields out of ``M + lag`` independent Gaussian process draws, so
     neighbors share most of their components. The fields share one factored
-    kernel Gram matrix.
+    kernel Gram matrix. Field j, drawn in order, is added to the open sums
+    m in [j - lag, j) and then becomes sum j, so only the M sums and one
+    field are live; each sum gets its fields in increasing j, so its bytes
+    are those of drawing every field first and summing on zeros.
     """
     if n is None:
         n = config.n_train + config.n_test
     s_grid = make_uniform_grid(config.n_grid, 0.0, 1.0)
     factor = _gram_factor(squared_exp_kernel(100.0), s_grid)
-    fields_v = [
-        rng.standard_normal((n, config.n_grid)) @ factor.T
-        for _ in range(config.M + config.lag)
-    ]
+    totals = []
+    for j in range(config.M + config.lag):
+        field = rng.standard_normal((n, config.n_grid)) @ factor.T
+        for total in totals[max(j - config.lag, 0):]:
+            total += field
+        if j < config.M:
+            totals.append(field)
+        del field  # free before the next draw
     scale = math.sqrt(config.lag + 1)
-    out = []
-    for m in range(config.M):
-        total = np.zeros((n, config.n_grid))
-        for j in range(config.lag + 1):
-            total += fields_v[m + j]
-        out.append(FunctionalSample(10.0 + total / scale, s_grid))
-    return out
+    for total in totals:  # 10.0 + total / scale, in place
+        np.add(10.0, np.divide(total, scale, out=total), out=total)
+    return [FunctionalSample(total, s_grid) for total in totals]
 
 
 def true_beta(m: int, s_grid: Grid, t_grid: Grid) -> CoefficientSurface:

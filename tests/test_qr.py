@@ -103,6 +103,20 @@ class TestQrProblem:
         with pytest.raises(ValueError, match="tau"):
             QrProblem(np.ones((3, 1)), np.ones(3), 1.0)
 
+    def test_string_level_is_read_as_a_number(self):
+        rng = np.random.default_rng(67)
+        X = np.column_stack([np.ones(30), rng.normal(size=30)])
+        y = rng.normal(size=30)
+        problem = QrProblem(X, y, "0.5")
+        assert problem.tau == 0.5 and type(problem.tau) is float
+        np.testing.assert_array_equal(qr_fit(problem), qr_fit(QrProblem(X, y, 0.5)))
+
+    def test_non_numeric_level_raises(self):
+        with pytest.raises(ValueError, match="could not convert"):
+            QrProblem(np.ones((3, 1)), np.ones(3), "a")
+        with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
+            QrProblem(np.ones((3, 1)), np.ones(3), None)
+
 
 class TestQrFit:
     def test_intercept_only_median(self):
@@ -466,6 +480,71 @@ class TestStackedSolver:
         monkeypatch.setattr(qreg, "_MAX_ITER", 1)
         with pytest.raises(NumericalError, match="response column 0: .* in 1 iterations"):
             qr_fit_multi(X, rng.normal(size=(30, 3)), 0.5)
+
+
+def five_widths(rng, n=60, K=2):
+    """Five designs of widths 2..6 (one group each) and their responses."""
+    designs = [np.column_stack([np.ones(n), rng.normal(size=(n, q - 1))]) for q in range(2, 7)]
+    Y = [d @ rng.normal(size=(d.shape[1], K)) + rng.standard_t(3, size=(n, K)) for d in designs]
+    return designs, Y
+
+
+def count_core_calls(monkeypatch, refuse_in=None):
+    """Wrap ``_frisch_newton`` to record each call's problem count; the call
+    numbered ``refuse_in`` (from 0) cannot factor its problem 1."""
+    real, calls = qreg._frisch_newton, []
+
+    def counted(Xs, y, tau):
+        with pytest.MonkeyPatch.context() as mp:
+            if len(calls) == refuse_in:
+                refuse_problem_1(mp, 4)
+            calls.append(len(y))
+            return real(Xs, y, tau)
+
+    monkeypatch.setattr(qreg, "_frisch_newton", counted)
+    return calls
+
+
+class TestStackSplit:
+    # Each design of widths 2..6 stacks T * K = 4 problems: 1920 bytes per
+    # column at n = 60, so a budget of 5.5 columns packs widths {2, 3}
+    # together and leaves 6 above the budget, alone.
+    BUDGET = 1920 * 11 // 2
+    TAUS = [0.25, 0.75]
+
+    def test_packs_are_consecutive_runs_within_the_budget(self, monkeypatch):
+        monkeypatch.setattr(qreg, "_STACK_BYTES", 5)
+        assert qreg._packs([3, 2, 9, 1, 1, 4]) == [[0, 1], [2], [3, 4], [5]]
+        assert qreg._packs([]) == []
+        assert qreg._packs([0, 0]) == [[0, 1]]
+
+    def test_split_stack_matches_one_call(self, monkeypatch):
+        designs, Y = five_widths(np.random.default_rng(68))
+        calls = count_core_calls(monkeypatch)
+        want, want_ok = qreg._fit_stack(designs, Y, self.TAUS)
+        assert calls == [20]
+        monkeypatch.setattr(qreg, "_STACK_BYTES", self.BUDGET)
+        coefs, solved = qreg._fit_stack(designs, Y, self.TAUS)
+        assert calls[1:] == [8, 4, 4, 4]
+        assert solved.all() and solved.tobytes() == want_ok.tobytes()
+        for got, expected in zip(coefs, want):
+            assert got.tobytes() == expected.tobytes()
+
+    def test_failure_in_a_middle_pack_keeps_its_place(self, monkeypatch):
+        # Problem 1 of the second call is design 2's level 0, column 1.
+        designs, Y = five_widths(np.random.default_rng(69))
+        want, _ = qreg._fit_stack(designs, Y, self.TAUS)
+        monkeypatch.setattr(qreg, "_STACK_BYTES", self.BUDGET)
+        calls = count_core_calls(monkeypatch, refuse_in=1)
+        coefs, solved = qreg._fit_stack(designs, Y, self.TAUS)
+        assert len(calls) == 4
+        failed = np.zeros_like(solved)
+        failed[2, 0, 1] = True
+        np.testing.assert_array_equal(solved, ~failed)
+        assert not coefs[2][0, :, 1].any()
+        for ok, got, expected in zip(~failed, coefs, want):
+            ok = ok[:, None, :]  # broadcast over the coefficients
+            np.testing.assert_array_equal(np.where(ok, got, 0.0), np.where(ok, expected, 0.0))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -1,6 +1,7 @@
 """Tests for synthetic data generation and the Monte Carlo harness."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -112,19 +113,35 @@ class TestPredictors:
 
 
     def test_fields_draw_like_separate_samples(self):
-        # The fields share one kernel factor but draw in the same order, with
-        # the same bytes, as one sample_gp call per field.
-        config = tiny_config(M=3, lag=2, n_grid=20, significant=(1,))
-        got = gen_predictors(config, np.random.default_rng(8), n=7)
-        rng = np.random.default_rng(8)
-        grid = make_uniform_grid(config.n_grid, 0.0, 1.0)
+        # The fields share one kernel factor and are streamed, but draw in the
+        # same order, and sum to the same bytes, as one sample_gp call per
+        # field, all drawn first, then summed on zeros.
+        grid = make_uniform_grid(20, 0.0, 1.0)
         kernel = squared_exp_kernel(100.0)
-        fields_v = [sample_gp(kernel, grid, 7, rng).values for _ in range(config.M + config.lag)]
-        for m, x in enumerate(got):
-            total = np.zeros((7, config.n_grid))
-            for j in range(config.lag + 1):
-                total += fields_v[m + j]
-            assert x.values.tobytes() == (10.0 + total / math.sqrt(config.lag + 1)).tobytes()
+        for M, lag in [(3, 2), (5, 4), (3, 1), (5, 0)]:
+            config = tiny_config(M=M, lag=lag, n_grid=20, significant=(1,))
+            got = gen_predictors(config, np.random.default_rng(8), n=7)
+            rng = np.random.default_rng(8)
+            fields_v = [sample_gp(kernel, grid, 7, rng).values for _ in range(M + lag)]
+            assert len(got) == M
+            for m, x in enumerate(got):
+                total = np.zeros((7, 20))
+                for j in range(lag + 1):
+                    total += fields_v[m + j]
+                assert x.values.tobytes() == (10.0 + total / math.sqrt(lag + 1)).tobytes()
+
+    def test_peak_memory_holds_outputs_and_one_field(self):
+        # The M outputs, one draw, one field and one spare n-by-p array;
+        # holding all M + lag fields at once peaks near (2M + lag + 1) of them.
+        config = tiny_config(n_grid=100)
+        gen_predictors(config, np.random.default_rng(10), n=20)  # warm caches
+        tracemalloc.start()
+        try:
+            gen_predictors(config, np.random.default_rng(10), n=2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (config.M + 3) * 2000 * 100 * 8
 
 
 class TestTrueBeta:
