@@ -17,8 +17,8 @@ leave as they finish; a matrix the batched Cholesky rejects is retried
 alone with jitter. Every operation acts on one problem at a time, so a
 problem's coefficients do not depend on its stack. ``qr_fit_multi`` is the
 public single-design entry; fits, bands and selection solve designs of any
-widths through ``_fit_stack``, which packs consecutive groups into core
-calls of at most ``_STACK_BYTES`` of stacked designs.
+widths through ``_fit_stack``, which cuts groups between designs and packs
+them into core calls of at most ``_STACK_BYTES`` of stacked designs.
 """
 
 from __future__ import annotations
@@ -293,7 +293,7 @@ def _column_rank(X: np.ndarray) -> np.ndarray:
     Emits a ``RankDeficiencyWarning`` when some columns are dependent.
     """
     n, q = X.shape
-    _, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    R, piv = scipy.linalg.qr(X, mode="r", pivoting=True)
     diag = np.abs(np.diag(R))
     rank = 0
     if diag.size > 0 and diag[0] > 0.0:
@@ -336,10 +336,12 @@ def _fit_stack(designs, responses, taus) -> tuple:
     coefficients and the (G, T, K) mask of the problems solved; ValueError
     from ``_check_values`` for a bad shape, n < q_g, a level outside (0, 1)
     or a nonfinite value. Dependent columns get zero coefficients; designs
-    keeping the same columns share a group of the core. Consecutive groups
-    share a core call while their stacked designs (one copy per level and
-    column) total at most ``_STACK_BYTES``; a group is never cut. Each
-    problem is solved alone, so the packing changes no bit.
+    keeping the same columns share a group of the core. A group whose
+    stacked designs (one copy per level and column) exceed ``_STACK_BYTES``
+    is cut between designs into consecutive parts within it; a design above
+    it stays alone, and its T * K problems are never separated. Consecutive
+    parts share a core call while they total at most ``_STACK_BYTES``. Each
+    problem is solved alone, so the cutting and packing change no bit.
     """
     taus = np.asarray(taus, dtype=float)
     for design, response in zip(designs, responses):
@@ -352,9 +354,12 @@ def _fit_stack(designs, responses, taus) -> tuple:
         groups.setdefault(tuple(_column_rank(design)), []).append(g)
     groups.pop((), None)  # a design of rank 0 keeps zero coefficients
     # Problems in (design, level, response column) order, designs by group,
-    # packed into core calls by the bytes of their stacked designs.
-    groups = list(groups.items())
-    sizes = [len(members) * T * K * n * len(keep) * 8 for keep, members in groups]
+    # groups cut between designs and packed into core calls by the bytes of
+    # their stacked designs.
+    column = T * K * n * 8  # bytes of one design column, stacked
+    groups = [(keep, [members[i] for i in part]) for keep, members in groups.items()
+              for part in _packs([column * len(keep)] * len(members))]
+    sizes = [column * len(keep) * len(members) for keep, members in groups]
     for pack in _packs(sizes):
         part = [groups[i] for i in pack]
         order = [g for _, members in part for g in members]

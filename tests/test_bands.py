@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fflqr.bands as bands_mod
 import fflqr.model as model_mod
 from fflqr.bands import (
     PredictionBand,
@@ -338,10 +339,10 @@ class TestBootstrapBand:
         np.testing.assert_array_equal(band.lower, np.quantile(stack, 0.1, axis=0))
         np.testing.assert_array_equal(band.upper, np.quantile(stack, 0.9, axis=0))
 
-    def test_peak_memory_holds_one_prediction_stack(self):
-        # predictions dominate this band: R * n_test * p doubles. The band
-        # holds one such stack and takes its quantiles in place; a copy of
-        # it or a second stack beside it would break the bound.
+    @staticmethod
+    def peak_in_stacks():
+        """Traced peak of one band (R=20, 400 test curves, p=50) in units of
+        its full prediction stack, R * n_test * p doubles."""
         rng = np.random.default_rng(13)
         Y, x = driven_pair(rng, n=40, p=50)
         _, x_test = driven_pair(rng, n=400, p=50)
@@ -354,7 +355,39 @@ class TestBootstrapBand:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - base <= 2 * stack_bytes
+        return (peak - base) / stack_bytes
+
+    def test_peak_memory_holds_one_prediction_stack(self):
+        # predictions dominate this band; a copy of the whole stack or a
+        # second one beside it would break the bound
+        assert self.peak_in_stacks() <= 2
+
+    def test_peak_memory_holds_one_chunk(self, monkeypatch):
+        # with chunks of a sixteenth of the stack (25 curves), the band
+        # holds its bounds, the refits' scores and one chunk at a time:
+        # about 0.3 stacks here, 1.6 when the whole stack was built
+        monkeypatch.setattr(bands_mod, "_CHUNK_BYTES", 20 * 400 * 50 * 8 // 16)
+        assert self.peak_in_stacks() <= 0.5
+
+    @pytest.mark.parametrize("method", ["fflqr", "fpc-ls", "bspline-ls"])
+    @pytest.mark.parametrize("R", [2, 7])
+    @pytest.mark.parametrize("n_test", [1, 2, 5, 7])
+    def test_chunks_match_one_stack_bitwise(self, monkeypatch, method, R, n_test):
+        # chunks of 2 or 3 curves (2.5 curves' bytes), and a last chunk of 3
+        # where one curve would be left over; the reference is the quantile
+        # of the full stack of predict's curves from the band's own refits
+        rng = np.random.default_rng(15)
+        g = make_uniform_grid(20, 0.0, 1.0)
+        Y, x, x_test = (FunctionalSample(rng.normal(size=(n, 20)), g) for n in (60, 60, n_test))
+        monkeypatch.setattr(bands_mod, "_CHUNK_BYTES", 5 * R * 20 * 4)
+        band = bootstrap_band(Y, [x], [x_test], 0.5, 0.3, 2, 2, R=R, seed=4, method=method)
+        rows = (np.random.default_rng(c).integers(0, Y.n, size=Y.n)
+                for c in np.random.SeedSequence(4).spawn(R))
+        fits = model_mod._fit_for(method, Y, [x], [0.5], 2, 2, rows=rows)
+        stack = np.stack([predict(fit, [x_test]).values for (fit,) in fits])
+        lower, upper = np.quantile(stack, [0.15, 0.85], axis=0)
+        assert band.lower.tobytes() == lower.tobytes()
+        assert band.upper.tobytes() == upper.tobytes()
 
     @pytest.mark.parametrize("count", [0, 2])
     def test_wrong_test_predictor_count_raises_from_predict(self, count):

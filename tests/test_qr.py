@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from fflqr import qreg
@@ -247,6 +248,28 @@ class TestRankDeficiency:
         with pytest.warns(RankDeficiencyWarning):
             beta = qr_fit(QrProblem(X, y, 0.5))
         assert beta[1] == 0.0
+
+    @pytest.mark.parametrize("kind", ["full", "collinear", "zero"])
+    @pytest.mark.parametrize("shape", [(2000, 16), (200, 10), (7, 7)])
+    def test_kept_columns_match_economic_qr(self, kind, shape):
+        # The R-only factorization is the same pivoted dgeqp3 as the
+        # economic one, so it keeps the same columns.
+        n, q = shape
+        rng = np.random.default_rng(41)
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, q - 1))])
+        if kind == "collinear":
+            X[:, 3] = X[:, 1] - 2.0 * X[:, 2]
+            X[:, -1] = X[:, 1]
+        elif kind == "zero":
+            X[:] = 0.0
+        _, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(R))
+        rank = int(np.sum(diag > diag[0] * max(n, q) * np.finfo(float).eps)) if diag[0] else 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error" if kind == "full" else "ignore", RankDeficiencyWarning)
+            kept = qreg._column_rank(X)
+        assert rank == {"full": q, "collinear": q - 2, "zero": 0}[kind]
+        np.testing.assert_array_equal(kept, np.sort(piv[:rank]))
 
 
 class TestQrFitMulti:
@@ -505,6 +528,25 @@ def count_core_calls(monkeypatch, refuse_in=None):
     return calls
 
 
+def assert_bitwise_equal(coefs, solved, want, want_ok):
+    assert solved.all() and solved.tobytes() == want_ok.tobytes()
+    for got, expected in zip(coefs, want):
+        assert got.tobytes() == expected.tobytes()
+
+
+def assert_only_failure(coefs, solved, want, at):
+    """Only problem ``at`` (design, level, column) is unsolved, with zero
+    coefficients; every other problem equals ``want``."""
+    failed = np.zeros_like(solved)
+    failed[at] = True
+    np.testing.assert_array_equal(solved, ~failed)
+    design, level, column = at
+    assert not coefs[design][level, :, column].any()
+    for ok, got, expected in zip(~failed, coefs, want):
+        ok = ok[:, None, :]  # broadcast over the coefficients
+        np.testing.assert_array_equal(np.where(ok, got, 0.0), np.where(ok, expected, 0.0))
+
+
 class TestStackSplit:
     # Each design of widths 2..6 stacks T * K = 4 problems: 1920 bytes per
     # column at n = 60, so a budget of 5.5 columns packs widths {2, 3}
@@ -526,9 +568,7 @@ class TestStackSplit:
         monkeypatch.setattr(qreg, "_STACK_BYTES", self.BUDGET)
         coefs, solved = qreg._fit_stack(designs, Y, self.TAUS)
         assert calls[1:] == [8, 4, 4, 4]
-        assert solved.all() and solved.tobytes() == want_ok.tobytes()
-        for got, expected in zip(coefs, want):
-            assert got.tobytes() == expected.tobytes()
+        assert_bitwise_equal(coefs, solved, want, want_ok)
 
     def test_failure_in_a_middle_pack_keeps_its_place(self, monkeypatch):
         # Problem 1 of the second call is design 2's level 0, column 1.
@@ -538,13 +578,49 @@ class TestStackSplit:
         calls = count_core_calls(monkeypatch, refuse_in=1)
         coefs, solved = qreg._fit_stack(designs, Y, self.TAUS)
         assert len(calls) == 4
-        failed = np.zeros_like(solved)
-        failed[2, 0, 1] = True
-        np.testing.assert_array_equal(solved, ~failed)
-        assert not coefs[2][0, :, 1].any()
-        for ok, got, expected in zip(~failed, coefs, want):
-            ok = ok[:, None, :]  # broadcast over the coefficients
-            np.testing.assert_array_equal(np.where(ok, got, 0.0), np.where(ok, expected, 0.0))
+        assert_only_failure(coefs, solved, want, (2, 0, 1))
+
+    # Two stacked designs of six_alike: T * K = 4 copies of 60 x 3 doubles each.
+    TWO_DESIGNS = 2 * 4 * 60 * 3 * 8
+
+    @staticmethod
+    def six_alike(rng, n=60, q=3, K=2):
+        """Six full-rank designs of one width (one group) and their responses."""
+        designs = [np.column_stack([np.ones(n), rng.normal(size=(n, q - 1))]) for _ in range(6)]
+        Y = [d @ rng.normal(size=(q, K)) + rng.standard_t(3, size=(n, K)) for d in designs]
+        return designs, Y
+
+    def test_tall_group_is_cut_between_designs(self, monkeypatch):
+        # The group of six runs as three calls of 2 designs * 2 levels * 2
+        # columns problems.
+        designs, Y = self.six_alike(np.random.default_rng(70))
+        calls = count_core_calls(monkeypatch)
+        want, want_ok = qreg._fit_stack(designs, Y, self.TAUS)
+        monkeypatch.setattr(qreg, "_STACK_BYTES", self.TWO_DESIGNS)
+        coefs, solved = qreg._fit_stack(designs, Y, self.TAUS)
+        assert calls == [24, 8, 8, 8]
+        assert_bitwise_equal(coefs, solved, want, want_ok)
+
+    def test_failure_in_a_middle_part_keeps_its_place(self, monkeypatch):
+        # Problem 1 of the second part is design 2's level 0, column 1.
+        designs, Y = self.six_alike(np.random.default_rng(71))
+        want, _ = qreg._fit_stack(designs, Y, self.TAUS)
+        monkeypatch.setattr(qreg, "_STACK_BYTES", self.TWO_DESIGNS)
+        calls = count_core_calls(monkeypatch, refuse_in=1)
+        coefs, solved = qreg._fit_stack(designs, Y, self.TAUS)
+        assert calls == [8, 8, 8]
+        assert_only_failure(coefs, solved, want, (2, 0, 1))
+
+    def test_no_response_columns_under_any_budget(self, monkeypatch):
+        # Zero-size problems take no bytes, so a group of them is one part.
+        designs, _ = self.six_alike(np.random.default_rng(72))
+        monkeypatch.setattr(qreg, "_STACK_BYTES", 1)
+        calls = count_core_calls(monkeypatch)
+        assert qr_fit_multi(designs[0], np.empty((60, 0)), 0.5).shape == (3, 0)
+        coefs, solved = qreg._fit_stack(designs, [np.empty((60, 0))] * 6, self.TAUS)
+        assert calls == [0, 0]
+        assert solved.shape == (6, 2, 0)
+        assert all(c.shape == (2, 3, 0) for c in coefs)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
