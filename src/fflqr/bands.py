@@ -120,7 +120,10 @@ def bootstrap_band(
     predictions, ``(refits, n_test, p)`` doubles (24 MB at R=100, 300 test
     curves and 100 grid points), are built from their scores and bases and
     reduced one chunk of test curves of at most ``_CHUNK_BYTES`` at a time
-    (1 MiB: 52 curves at R=25), with ``predict``'s bits.
+    (1 MiB: 52 curves at R=25), with ``predict``'s bits. Each chunk is sorted
+    in place; each bound interpolates two of its order statistics by numpy's
+    default linear rule (Hyndman & Fan 1996, type 7) in ``np.quantile``'s
+    arithmetic and bits, with no second partition.
 
     The bounds are quantiles of re-estimated tau-quantile curves, so the band
     covers the spread of the estimated quantile curve, not new response
@@ -163,6 +166,13 @@ def bootstrap_band(
     means = np.stack([fit.response_basis.mean for fit in fits])
     (F, n_test, _), p = scores.shape, means.shape[1]
     bounds = np.empty((2, n_test, p))
+    # np.quantile's linear rule: order statistics floor(v), floor(v) + 1 at
+    # v = (F - 1) q, weight v - floor(v); from v = F - 1 on (a lone survivor)
+    # both are index -1 and the weight v + 1, as numpy has it, keeping a -0.0.
+    ranks = []
+    for v in ((F - 1) * (alpha / 2.0), (F - 1) * (1.0 - alpha / 2.0)):
+        below = int(v) if v < F - 1 else -1
+        ranks.append((below, below + 1 if below >= 0 else -1, v - below))
     # Chunks of at least two curves (a lone last one joins the one before):
     # a one-row product takes BLAS's gemv path, whose bits can differ from gemm's.
     step = max(2, _CHUNK_BYTES // (F * p * 8))
@@ -172,9 +182,13 @@ def bootstrap_band(
         stack += means[:, None]
         if not np.isfinite(stack).all():
             raise ValueError("curve values must all be finite")
-        stack.sort(axis=0)  # the same order statistics, cheaper than quantile's partitions
-        np.quantile(stack, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0, out=bounds[:, start:stop],
-                    overwrite_input=True, method="linear")
+        stack.sort(axis=0)
+        for bound, (below, above, g) in zip(bounds[:, start:stop], ranks):
+            diff = stack[above] - stack[below]  # numpy's _lerp, from the nearer end
+            if g >= 0.5:
+                np.subtract(stack[above], diff * (1.0 - g), out=bound)
+            else:
+                np.add(stack[below], diff * g, out=bound)
     return PredictionBand(*bounds, alpha, Y_train.grid, failed_refits=R - len(fits))
 
 

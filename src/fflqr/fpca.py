@@ -103,15 +103,21 @@ def fpc_decompose(sample: FunctionalSample, n_components: int) -> tuple[FpcBasis
 
     # Overflow is reported once, by the check below, not also as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = centered.T @ centered / n
-        sym = sqrt_w[:, None] * cov * sqrt_w[None, :]
-    if not np.isfinite(sym).all():
+        cov = centered.T @ centered
+        cov /= n
+        cov *= sqrt_w
+        cov *= sqrt_w[:, None]
+    if not np.isfinite(cov).all():
         raise ValueError("the weighted covariance is not finite; rescale the curves")
-    # The call scipy.linalg.eigh(sym, subset_by_index=[p - K, p - 1],
-    # driver="evr") makes; another workspace size changes the bytes.
+    # numpy forms centered.T @ centered with syrk, so it is bitwise symmetric
+    # and the transpose of its in-place scaling (columns, then rows) holds the
+    # rows-first (s_i c_ij) s_j, s = sqrt_w, that scipy.linalg.eigh(driver=
+    # "evr") was given; Fortran-ordered, it reaches dsyevr uncopied. The call
+    # is eigh's, workspace included: another lwork changes the bytes.
     lwork, liwork, _ = dsyevr_lwork(p, lower=1)
     eigvals, eigvecs, m, _, info = dsyevr(
-        sym, compute_v=1, range="I", lower=1, il=p - K + 1, iu=p, lwork=int(lwork), liwork=liwork
+        cov.T, compute_v=1, range="I", lower=1, il=p - K + 1, iu=p, lwork=int(lwork),
+        liwork=liwork, overwrite_a=1,
     )
     if info != 0:
         raise LinAlgError(f"dsyevr failed with info = {info}")

@@ -389,6 +389,59 @@ class TestBootstrapBand:
         assert band.lower.tobytes() == lower.tobytes()
         assert band.upper.tobytes() == upper.tobytes()
 
+    @staticmethod
+    def noise_band(method, R, alpha):
+        """A band on white-noise curves (60 training, 9 test, p=20, seed 4),
+        and a function giving ``np.quantile`` at its levels over ``predict``'s
+        curves from the band's own refits numbered in ``keep`` (all of them
+        by default)."""
+        rng = np.random.default_rng(16)
+        g = make_uniform_grid(20, 0.0, 1.0)
+        Y, x, x_test = (FunctionalSample(rng.normal(size=(n, 20)), g) for n in (60, 60, 9))
+        band = bootstrap_band(Y, [x], [x_test], 0.5, alpha, 2, 2, R=R, seed=4, method=method)
+
+        def own_quantiles(keep=range(R)):
+            rows = [np.random.default_rng(c).integers(0, Y.n, size=Y.n)
+                    for c in np.random.SeedSequence(4).spawn(R)]
+            fits = model_mod._fit_for(method, Y, [x], [0.5], 2, 2, rows=(rows[r] for r in keep))
+            stack = np.stack([predict(fit, [x_test]).values for (fit,) in fits])
+            return np.quantile(stack, [alpha / 2, 1 - alpha / 2], axis=0)
+
+        return band, own_quantiles
+
+    @pytest.mark.parametrize("method", ["fflqr", "fpc-ls", "bspline-ls"])
+    def test_lone_survivor_bounds_are_its_prediction(self, monkeypatch, method):
+        # R = 2 with refit 1 unsolved leaves F = 1: both levels lie at or
+        # past the last order statistic, which is then both neighbours
+        if method == "fflqr":
+            monkeypatch.setattr(model_mod, "_fit_stack", self.unsolved_at(np.s_[1, :, 1]))
+        else:
+            real = model_mod._fit_for
+
+            def fail_refit_1(*args, **kwargs):
+                fits = list(real(*args, **kwargs))
+                fits[1] = (NumericalError("forced"),)
+                return fits
+
+            monkeypatch.setattr(bands_mod, "_fit_for", fail_refit_1)
+        band, own_quantiles = self.noise_band(method, 2, 0.1)
+        monkeypatch.undo()
+        assert band.failed_refits == 1
+        lower, upper = own_quantiles(keep=[0])
+        assert band.lower.tobytes() == lower.tobytes()
+        assert band.upper.tobytes() == upper.tobytes()
+
+    @pytest.mark.parametrize("method", ["fflqr", "fpc-ls", "bspline-ls"])
+    def test_level_on_an_order_statistic(self, method):
+        # R = 21, alpha = 0.1: virtual indices 20 * 0.05 = 1.0 and
+        # 20 * 0.95 = 19.0, so both weights are 0
+        assert (20 * 0.05, 20 * (1 - 0.05)) == (1.0, 19.0)
+        band, own_quantiles = self.noise_band(method, 21, 0.1)
+        assert band.failed_refits == 0
+        lower, upper = own_quantiles()
+        assert band.lower.tobytes() == lower.tobytes()
+        assert band.upper.tobytes() == upper.tobytes()
+
     @pytest.mark.parametrize("count", [0, 2])
     def test_wrong_test_predictor_count_raises_from_predict(self, count):
         rng = np.random.default_rng(14)

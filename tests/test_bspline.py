@@ -1,9 +1,15 @@
 """Tests for the B-spline basis evaluation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
+import fflqr
 from fflqr.bspline import bspline_design, bspline_knots
 
 
@@ -75,3 +81,18 @@ class TestDesign:
             lo, hi = kn[j], kn[j + 4]
             outside = (x < lo - 1e-12) | (x > hi + 1e-12)
             np.testing.assert_allclose(B[outside, j], 0.0, atol=1e-15)
+
+
+def test_package_and_cli_import_without_scipy_interpolate():
+    # the basis loads scipy.interpolate on first use, so commands that fit
+    # no B-spline do not pay for it
+    src = Path(fflqr.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fflqr, fflqr.cli; assert 'scipy.interpolate' not in sys.modules"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -247,6 +247,7 @@ def assert_matches_reference(decomposition, reference, sample):
 @example(seed=0, n=60, p=70, share=0.1, kind="random", uniform=True)
 @example(seed=1, n=50, p=40, share=0.5, kind="repeated", uniform=False)
 @example(seed=2, n=10, p=45, share=1.0, kind="constant", uniform=True)
+@example(seed=3, n=200, p=100, share=0.03, kind="random", uniform=True)  # the workloads' shape
 def test_bitwise_equal_to_scipy_eigh(seed, n, p, share, kind, uniform):
     # fpc_decompose calls dsyevr as scipy.linalg.eigh(driver="evr") would,
     # workspace included, so every output keeps its bytes.
