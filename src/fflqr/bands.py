@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .fdata import FunctionalSample, Grid, write_sample_csv
-from .model import _fit_for, _predicted_scores, _unwrap, predict
+from .model import _fit_for, _projected_design, _unwrap, predict
 
 __all__ = [
     "PredictionBand",
@@ -114,7 +114,8 @@ def bootstrap_band(
     refit decomposes its rows once, at exactly ``(k_y, k_x)``, so it equals
     ``fit_fflqr`` on its resample bitwise; all check-loss problems are
     solved in one stacked call. B-spline bases are fixed, so all curves are
-    expanded once and each refit takes its rows of that.
+    expanded once and each refit takes its rows of that, and the test curves
+    are projected on them once per band.
     Refits that fail numerically are left out and counted on the band;
     fewer than ``R/2`` successes raise ``NumericalError``. The survivors'
     predictions, ``(refits, n_test, p)`` doubles (24 MB at R=100, 300 test
@@ -161,7 +162,15 @@ def bootstrap_band(
     ]
     if len(fits) < R / 2:
         raise NumericalError(f"only {len(fits)} of {R} bootstrap refits succeeded")
-    scores = np.stack([_predicted_scores(fit, X_test) for fit in fits])
+    # B-spline refits share their fixed bases, which the fits keep alive, so
+    # X_test is projected once for them; FPC refits have bases of their own.
+    scores, key = [], None
+    for fit in fits:
+        bases = tuple(map(id, fit.predictor_bases))
+        if bases != key:
+            key, design = bases, _projected_design(fit, X_test)
+        scores.append(design @ fit.coefs)
+    scores = np.stack(scores)
     funcs = np.stack([fit.response_basis.eigenfunctions for fit in fits])
     means = np.stack([fit.response_basis.mean for fit in fits])
     (F, n_test, _), p = scores.shape, means.shape[1]

@@ -4,6 +4,10 @@ A curve is represented by its values on a shared, strictly increasing grid.
 All integrals in the package are trapezoidal quadrature sums against the
 weights stored on the grid, so a ``Grid`` carries both the evaluation points
 and the matching weights.
+
+Curves are written as ``%.17g`` text by a numpy kernel that formats a block
+of values at once and gives the bytes of ``np.savetxt``; blocks holding a
+value outside its range go through ``np.savetxt`` itself.
 """
 
 from __future__ import annotations
@@ -220,11 +224,115 @@ def read_sample_csv(path) -> FunctionalSample:
         raise DataError(f"{path}: {exc}") from exc
 
 
+# Bytes of the values formatted at once: the kernel's temporaries take about
+# 50 times as much (1.6 MiB).
+_CHUNK_BYTES = 1 << 15
+
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact up to 1e22
+
+
+def _times_pow10(a, k):
+    """Dekker's exact product a * 10**k == p + err (numpy has no fma): each
+    factor is split by 2**27 + 1 into halves of at most 26 bits."""
+    c = _POW10[k]
+    p, ta, tc = a * c, a * 134217729.0, c * 134217729.0
+    ah, ch = ta - (ta - a), tc - (tc - c)
+    al, cl = a - ah, c - ch
+    return p, al * cl - (((p - ah * ch) - al * ch) - ah * cl)
+
+
+# Each value is laid out in six 8-byte words holding every byte a %.17g text
+# can need: "-0.000" (the sign and the zeros of 0.000ddd), the 17 digits each
+# followed by a candidate ".", "e-05"/"e-06" and the separator. Negative
+# values keep the sign; a value of kind c = e + 6 (23 for zeros) whose last
+# nonzero digit is its s-th keeps byte j > 0 where _KEEP[17 c + s - 1, j].
+_HEAD = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), np.uint64)
+_PAIRS = np.frombuffer(bytes(b for i in range(10000) for c in b"%04d" % i for b in (c, 46)),
+                       np.uint64)
+_TAIL = np.frombuffer(b"e-056,\0\0e-056\n\0\0", np.uint64)  # inside a row, at its end
+_SIGNIFICANT = np.array([len((b"%04d" % i).rstrip(b"0")) for i in range(10000)], np.int8)
+
+
+def _ranks() -> np.ndarray:
+    """Byte j of kind c is kept where ranks[c, j] < s: 99 never, -1 always."""
+    ranks = np.full((24, 48), 99, dtype=np.int8)
+    ranks[:, 45] = -1
+    ranks[23, 1] = -1
+    for e, row in zip(range(-6, 17), ranks):
+        row[6:40:2] = np.arange(17)
+        if e >= 0:  # ddd.ddd: the integer digits stay, the point if a digit follows
+            row[6:8 + 2 * e:2] = -1
+            row[7 + 2 * e] = e + 1
+        elif e >= -4:  # 0.000ddd
+            row[1:2 - e] = -1
+        else:  # d.ddde-0X
+            row[7] = 1
+            row[[40, 41, 42, 38 - e]] = -1
+    return (ranks[:, None] < np.arange(1, 18)[:, None]).reshape(-1, 48)
+
+
+_KEEP = _ranks()
+
+
+def _format_17g(block: np.ndarray) -> str | None:
+    """``np.savetxt(fh, block, fmt="%.17g", delimiter=",")`` text of a 2-D block,
+    or None if a nonzero value has a decimal exponent outside [-6, 16], where
+    10**(16 - e) is no exact double."""
+    x = np.ascontiguousarray(block).ravel()
+    a = np.abs(x)
+    zero = a == 0
+    a[zero] = 1.0
+    if not (a.min() >= 1e-6 and a.max() < 1e17):  # NaN and inf fail this too
+        return None
+    # a * 10**(16 - e) lies in [1e16, 1e17). e starts from log10 and is put
+    # right on the exact pair, never on a rounded product: the double 1e-06
+    # lies below 10**-6, yet its product with 10**22 rounds to 1e16.
+    k = np.clip(16 - np.floor(np.log10(a)).astype(np.int64), 0, 22)
+    p, err = _times_pow10(a, k)
+    above = (p > 1e17) | (p == 1e17) & (err >= 0)
+    below = (p < 1e16) | (p == 1e16) & (err < 0)
+    e = 16 - k + above - below
+    if e.min() < -6:
+        return None
+    redo = np.flatnonzero(e != 16 - k)
+    p[redo], err[redo] = _times_pow10(a[redo], 16 - e[redo])
+    # p >= 1e16 > 2**53 is an even integer, so rint rounds half to even as
+    # dtoa does. No double in range rounds up to 10**17: the nearest below a
+    # power of ten is 4.5e-17 of it away, and rounding up takes under 5e-18.
+    digits = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    high, low = np.divmod(digits, 10**8)
+    lead, high = np.divmod(high, 10**8)
+    groups = (*np.divmod(high, 10**4), *np.divmod(low, 10**4))
+    words = np.empty((x.size, 6), dtype=np.uint64)
+    words[:, 0] = _HEAD[lead]
+    for j, group in enumerate(groups, 1):
+        words[:, j] = _PAIRS[group]
+    words[:, 5] = _TAIL[0]
+    words.reshape(len(block), -1, 6)[:, -1, 5] = _TAIL[1]
+    significant = 1 + _SIGNIFICANT[groups[0]]
+    for offset, group in zip((5, 9, 13), groups[1:]):
+        significant = np.where(group != 0, offset + _SIGNIFICANT[group], significant)
+    keep = np.take(_KEEP, 17 * np.where(zero, 23, e + 6) + significant - 1, axis=0)
+    keep[:, 0] = np.signbit(x)
+    return np.compress(keep.ravel(), words.view(np.uint8)).tobytes().decode("ascii")
+
+
 def write_sample_csv(sample: FunctionalSample, path) -> None:
     """Write a functional sample in the wide CSV format used by this package.
 
-    17 significant digits round-trip any float64 exactly through text.
+    17 significant digits round-trip any float64 exactly through text. The
+    bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",")`` on the grid
+    row and the values. Blocks of rows are formatted by ``_format_17g``; a
+    block holding a nonzero value below about 1e-6 or from 1e17 up is written
+    by ``np.savetxt``.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        np.savetxt(fh, sample.grid.points[None, :], fmt="%.17g", delimiter=",")
-        np.savetxt(fh, sample.values, fmt="%.17g", delimiter=",")
+        for rows in (sample.grid.points[None, :], sample.values):
+            step = max(1, _CHUNK_BYTES // (8 * rows.shape[1]))
+            for start in range(0, len(rows), step):
+                block = rows[start:start + step]
+                text = _format_17g(block)
+                if text is None:
+                    np.savetxt(fh, block, fmt="%.17g", delimiter=",")
+                else:
+                    fh.write(text)

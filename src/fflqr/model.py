@@ -324,15 +324,9 @@ def predict(fit: FflqrFit, X_new) -> FunctionalSample:
     X_new : list of FunctionalSample
         Same number, order and grids as the predictors used in fitting.
     """
-    scores = _predicted_scores(fit, X_new)
-    return reconstruct(fit.response_basis, scores)
-
-
-def _predicted_scores(fit: FflqrFit, X) -> np.ndarray:
-    """The (n, K_Y) response scores ``predict`` maps to curves, with its checks."""
     if not isinstance(fit, FflqrFit):
         raise TypeError(f"cannot predict from {type(fit).__name__}")
-    return _projected_design(fit, X) @ fit.coefs
+    return reconstruct(fit.response_basis, _projected_design(fit, X_new) @ fit.coefs)
 
 
 def _block_rows(fit: FflqrFit, position: int) -> slice:

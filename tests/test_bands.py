@@ -291,6 +291,27 @@ class TestBootstrapBand:
         bootstrap_band(Y, [x1, x2], [x1, x2], 0.5, 0.2, 2, 2, R=R, seed=3)
         assert len(calls) == len(set(calls)) == R * (1 + M)
 
+    @pytest.mark.parametrize("method, per_predictor", [("bspline-ls", 1), ("fpc-ls", 5)])
+    def test_test_curves_projected_once_per_basis(self, monkeypatch, method, per_predictor):
+        # B-spline refits share their fixed bases, so the test curves are
+        # projected once per predictor; each of R = 5 FPC refits has its own.
+        # White-noise curves keep every refit's design at full rank.
+        rng = np.random.default_rng(12)
+        g = make_uniform_grid(20, 0.0, 1.0)
+        Y, x1, x2, *tests = (FunctionalSample(rng.normal(size=(n, 20)), g)
+                             for n in (120, 120, 120, 7, 7))
+        projected = []
+        real = model_mod.project_scores
+
+        def project(basis, sample):
+            projected.append(sample)
+            return real(basis, sample)
+
+        monkeypatch.setattr(model_mod, "project_scores", project)
+        bootstrap_band(Y, [x1, x2], tests, 0.5, 0.2, 2, 2, R=5, seed=3, method=method)
+        for t in tests:
+            assert sum(s is t for s in projected) == per_predictor
+
     @staticmethod
     def unsolved_at(select):
         """A stand-in for the stacked solver that marks ``solved[select]``

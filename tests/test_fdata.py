@@ -1,6 +1,9 @@
 """Tests for grids, functional samples, and CSV round trips."""
 
+import io
 import tempfile
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import fflqr.fdata as fdata_mod
 from fflqr.errors import DataError
 from fflqr.fdata import (
     FunctionalSample,
@@ -242,6 +246,145 @@ def test_csv_round_trip_property(points, n, data):
     assert back.values.tobytes() == sample.values.tobytes()
     assert back.grid.points.tobytes() == sample.grid.points.tobytes()
     np.testing.assert_array_equal(back.grid.weights, sample.grid.weights)
+
+
+def savetxt_bytes(sample: FunctionalSample) -> bytes:
+    """The reference rendering: ``np.savetxt`` of the grid row, then the values."""
+    buf = io.BytesIO()
+    np.savetxt(buf, sample.grid.points[None, :], fmt="%.17g", delimiter=",")
+    np.savetxt(buf, sample.values, fmt="%.17g", delimiter=",")
+    return buf.getvalue()
+
+
+def written_bytes(sample: FunctionalSample) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sample.csv"
+        write_sample_csv(sample, path)
+        return path.read_bytes()
+
+
+def signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+# Every finite double, and doubles the kernel formats: zeros, exponents -6 to
+# 16, integers, half-integers and quarters from 2**49 to 2**51, whose 17
+# digits often end on an exact half.
+_any_finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+_in_kernel_range = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    signed(st.floats(1e-6, 1e17, exclude_max=True)),
+    st.integers(-(10**16), 10**16).map(float),
+    st.integers(-(10**9), 10**9).map(lambda i: i + 0.5),
+    signed(st.integers(2**51, 2**53).map(lambda i: i / 4)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    points=st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True),
+        min_size=2, max_size=8, unique=True,
+    ).map(sorted),
+    n=st.integers(1, 6),
+    data=st.data(),
+)
+def test_written_bytes_equal_savetxt(points, n, data):
+    g = Grid.from_points(points)
+    elements = data.draw(st.sampled_from([_any_finite, _in_kernel_range]))
+    values = data.draw(arrays(np.float64, (n, g.size), elements=elements))
+    sample = FunctionalSample(values, g)
+    assert written_bytes(sample) == savetxt_bytes(sample)
+
+
+class TestWrittenBytes:
+    """Byte equality with ``np.savetxt(fmt="%.17g")`` where the vectorized
+    formatter takes over and where it hands a block back."""
+
+    @staticmethod
+    def one_row_per_block(monkeypatch, values):
+        monkeypatch.setattr(fdata_mod, "_CHUNK_BYTES", 16)  # two columns, one row
+        return FunctionalSample(np.column_stack([values, values]), Grid.from_points([0.0, 1.0]))
+
+    def test_powers_of_ten_and_neighbours(self, monkeypatch):
+        values = []
+        for e in range(-7, 18):
+            x = float(f"1e{e}")
+            values += [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+        values = np.array(values)
+        sample = self.one_row_per_block(monkeypatch, np.concatenate([values, -values]))
+        assert written_bytes(sample) == savetxt_bytes(sample)
+        # The formatter takes exactly the doubles of exponent -6 to 16.
+        handed_back = [v for v in values if fdata_mod._format_17g(np.array([[v]])) is None]
+        assert handed_back == [*values[:5], *values[-2:]]
+
+    def test_double_1e_minus_6_lies_below_its_decade(self, monkeypatch):
+        # Its product with 10**22 rounds to 1e16 but lies below it: the
+        # exponent is -7 and the value goes to np.savetxt.
+        sample = self.one_row_per_block(monkeypatch, [1e-06, np.nextafter(1e-06, 1.0)])
+        assert written_bytes(sample).splitlines()[1:] == [
+            b"9.9999999999999995e-07,9.9999999999999995e-07",
+            b"1.0000000000000002e-06,1.0000000000000002e-06",
+        ]
+        assert fdata_mod._format_17g(np.array([[1e-06]])) is None
+
+    def test_ties_round_half_to_even(self, monkeypatch):
+        # 2**50 + 0.25 is 1125899906842624.25: its 17th digit sits on an
+        # exact half, and an even 2 ends the text.
+        quarters = 2.0**50 + np.arange(-8, 9) / 4
+        eighths = 2.0**49 + np.arange(-8, 9) / 8
+        sample = self.one_row_per_block(monkeypatch, np.concatenate([quarters, -eighths]))
+        assert written_bytes(sample) == savetxt_bytes(sample)
+        assert written_bytes(sample).splitlines()[10] == b"1125899906842624.2,1125899906842624.2"
+
+    def test_no_double_in_range_rounds_up_a_decade(self):
+        # So the formatter needs no carry: the largest double below each
+        # power of ten from 1e-6 to 1e17 keeps its leading 9.
+        for e in range(-6, 18):
+            x = float(f"1e{e}")
+            below = x if Fraction(x) < Fraction(10) ** e else np.nextafter(x, 0.0)
+            assert ("%.16e" % below).startswith("9.")
+
+    def test_carry_into_the_next_decade(self, monkeypatch):
+        # The double 1e-14 lies below 10**-14 and prints as 1e-14; it is
+        # outside the formatter's range, beside values inside it.
+        x = float("1e-14")
+        assert Fraction(x) < Fraction(1, 10**14)
+        sample = self.one_row_per_block(monkeypatch, [x, 0.5, -x])
+        assert written_bytes(sample).splitlines()[1:] == [b"1e-14,1e-14", b"0.5,0.5", b"-1e-14,-1e-14"]
+
+    def test_fortran_order_and_strided_views(self):
+        rng = np.random.default_rng(4)
+        wide = rng.normal(size=(30, 40)) * 100
+        g = make_uniform_grid(20, 0.0, 1.0)
+        for values in (np.asfortranarray(wide[:, :20]), wide[:, ::2], wide[::-1, 1::2]):
+            sample = FunctionalSample(values, g)
+            assert sample.values is values
+            assert written_bytes(sample) == savetxt_bytes(sample)
+
+    def test_value_out_of_range_in_second_block_only(self):
+        rng = np.random.default_rng(5)
+        p = 100
+        rows = fdata_mod._CHUNK_BYTES // (8 * p) + 1
+        values = rng.normal(size=(rows, p))
+        values[-1, 3] = 1e-300
+        sample = FunctionalSample(values, make_uniform_grid(p, 0.0, 1.0))
+        assert fdata_mod._format_17g(values[:-1]) is not None
+        assert written_bytes(sample) == savetxt_bytes(sample)
+
+    def test_peak_memory_is_bounded_per_block(self, tmp_path):
+        # One block at a time: formatting all 200,000 values at once would
+        # trace near 80 MB.
+        rng = np.random.default_rng(6)
+        sample = FunctionalSample(10 + rng.normal(size=(2000, 100)), make_uniform_grid(100, 0.0, 1.0))
+        path = tmp_path / "s.csv"
+        tracemalloc.start()
+        try:
+            write_sample_csv(sample, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 def reference_read(text: str):
