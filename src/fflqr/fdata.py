@@ -12,6 +12,7 @@ value outside its range go through ``np.savetxt`` itself.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,20 +242,25 @@ def _times_pow10(a, k):
     return p, al * cl - (((p - ah * ch) - al * ch) - ah * cl)
 
 
-# Each value is laid out in six 8-byte words holding every byte a %.17g text
-# can need: "-0.000" (the sign and the zeros of 0.000ddd), the 17 digits each
-# followed by a candidate ".", "e-05"/"e-06" and the separator. Negative
-# values keep the sign; a value of kind c = e + 6 (23 for zeros) whose last
-# nonzero digit is its s-th keeps byte j > 0 where _KEEP[17 c + s - 1, j].
-_HEAD = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), np.uint64)
-_PAIRS = np.frombuffer(bytes(b for i in range(10000) for c in b"%04d" % i for b in (c, 46)),
-                       np.uint64)
-_TAIL = np.frombuffer(b"e-056,\0\0e-056\n\0\0", np.uint64)  # inside a row, at its end
-_SIGNIFICANT = np.array([len((b"%04d" % i).rstrip(b"0")) for i in range(10000)], np.int8)
+@functools.cache
+def _tables():
+    """The kernel's byte tables, built on first use, so that a process that
+    writes no curve CSV does not hold them.
 
-
-def _ranks() -> np.ndarray:
-    """Byte j of kind c is kept where ranks[c, j] < s: 99 never, -1 always."""
+    Each value is laid out in six 8-byte words holding every byte a %.17g
+    text can need: "-0.000" (the sign and the zeros of 0.000ddd), the 17
+    digits each followed by a candidate ".", "e-05"/"e-06" and the
+    separator. Negative values keep the sign; a value of kind c = e + 6 (23
+    for zeros) whose last nonzero digit is its s-th keeps byte j > 0 where
+    ``keep_masks[17 c + s - 1, j]``.
+    """
+    head_words = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), np.uint64)
+    group_words = np.frombuffer(
+        bytes(b for i in range(10000) for c in b"%04d" % i for b in (c, 46)), np.uint64
+    )
+    tail_words = np.frombuffer(b"e-056,\0\0e-056\n\0\0", np.uint64)  # inside a row, at its end
+    group_places = np.array([len((b"%04d" % i).rstrip(b"0")) for i in range(10000)], np.int8)
+    # Byte j of kind c is kept where ranks[c, j] < s: 99 never, -1 always.
     ranks = np.full((24, 48), 99, dtype=np.int8)
     ranks[:, 45] = -1
     ranks[23, 1] = -1
@@ -268,10 +274,10 @@ def _ranks() -> np.ndarray:
         else:  # d.ddde-0X
             row[7] = 1
             row[[40, 41, 42, 38 - e]] = -1
-    return (ranks[:, None] < np.arange(1, 18)[:, None]).reshape(-1, 48)
-
-
-_KEEP = _ranks()
+    # Both sides int8, so numpy compares without casting through 128 KiB buffers.
+    s = np.arange(1, 18, dtype=np.int8)
+    keep_masks = (ranks[:, None] < s[:, None]).reshape(-1, 48)
+    return head_words, group_words, tail_words, group_places, keep_masks
 
 
 def _format_17g(block: np.ndarray) -> str | None:
@@ -303,16 +309,17 @@ def _format_17g(block: np.ndarray) -> str | None:
     high, low = np.divmod(digits, 10**8)
     lead, high = np.divmod(high, 10**8)
     groups = (*np.divmod(high, 10**4), *np.divmod(low, 10**4))
+    head_words, group_words, tail_words, group_places, keep_masks = _tables()
     words = np.empty((x.size, 6), dtype=np.uint64)
-    words[:, 0] = _HEAD[lead]
+    words[:, 0] = head_words[lead]
     for j, group in enumerate(groups, 1):
-        words[:, j] = _PAIRS[group]
-    words[:, 5] = _TAIL[0]
-    words.reshape(len(block), -1, 6)[:, -1, 5] = _TAIL[1]
-    significant = 1 + _SIGNIFICANT[groups[0]]
+        words[:, j] = group_words[group]
+    words[:, 5] = tail_words[0]
+    words.reshape(len(block), -1, 6)[:, -1, 5] = tail_words[1]
+    significant = 1 + group_places[groups[0]]
     for offset, group in zip((5, 9, 13), groups[1:]):
-        significant = np.where(group != 0, offset + _SIGNIFICANT[group], significant)
-    keep = np.take(_KEEP, 17 * np.where(zero, 23, e + 6) + significant - 1, axis=0)
+        significant = np.where(group != 0, offset + group_places[group], significant)
+    keep = np.take(keep_masks, 17 * np.where(zero, 23, e + 6) + significant - 1, axis=0)
     keep[:, 0] = np.signbit(x)
     return np.compress(keep.ravel(), words.view(np.uint8)).tobytes().decode("ascii")
 
