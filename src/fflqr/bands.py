@@ -114,8 +114,9 @@ def bootstrap_band(
     refit decomposes its rows once, at exactly ``(k_y, k_x)``, so it equals
     ``fit_fflqr`` on its resample bitwise; all check-loss problems are
     solved in one stacked call. B-spline bases are fixed, so all curves are
-    expanded once and each refit takes its rows of that, and the test curves
-    are projected on them once per band.
+    expanded once and each refit takes its rows of that (a grid that makes
+    their Gram matrix singular raises its ``NumericalError``), and the test
+    curves are projected on them once per band.
     Refits that fail numerically are left out and counted on the band;
     fewer than ``R/2`` successes raise ``NumericalError``. The survivors'
     predictions, ``(refits, n_test, p)`` doubles (24 MB at R=100, 300 test

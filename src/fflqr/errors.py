@@ -4,6 +4,8 @@ import os
 import sys
 import warnings
 
+__all__ = ["FflqrError", "ConfigError", "DataError", "NumericalError", "RankDeficiencyWarning"]
+
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 

@@ -185,11 +185,7 @@ def _fit_for(method, Y, X, taus, k_y, k_x, predictor_indices=None, decs=None,
     if method not in ("fflqr", "fpc-ls", "bspline-ls"):
         raise ValueError(f"unknown method {method!r}")
     if decs is None and method == "bspline-ls":
-        try:
-            (basis, coords), preds = _bspline_decompose(Y, X)
-        except NumericalError as exc:
-            # A singular Gram matrix depends on the grid alone: every fit fails.
-            return [[exc] * len(taus) for _ in rows]
+        (basis, coords), preds = _bspline_decompose(Y, X)
         # Sliced as each row set is solved, so only one copy is alive at a time.
         decs = (((basis, coords[r]), [(b, z[r]) for b, z in preds]) for r in rows)
     elif decs is None:

@@ -17,8 +17,8 @@ leave as they finish; a matrix the batched Cholesky rejects is retried
 alone with jitter. Every operation acts on one problem at a time, so a
 problem's coefficients do not depend on its stack. ``qr_fit_multi`` is the
 public single-design entry; fits, bands and selection solve designs of any
-widths through ``_fit_stack``, which cuts groups between designs and packs
-them into core calls of at most ``_STACK_BYTES`` of stacked designs.
+widths through ``_fit_stack``, which packs designs, in group order, into
+core calls of at most ``_STACK_BYTES`` of stacked designs.
 """
 
 from __future__ import annotations
@@ -336,12 +336,12 @@ def _fit_stack(designs, responses, taus) -> tuple:
     coefficients and the (G, T, K) mask of the problems solved; ValueError
     from ``_check_values`` for a bad shape, n < q_g, a level outside (0, 1)
     or a nonfinite value. Dependent columns get zero coefficients; designs
-    keeping the same columns share a group of the core. A group whose
-    stacked designs (one copy per level and column) exceed ``_STACK_BYTES``
-    is cut between designs into consecutive parts within it; a design above
-    it stays alone, and its T * K problems are never separated. Consecutive
-    parts share a core call while they total at most ``_STACK_BYTES``. Each
-    problem is solved alone, so the cutting and packing change no bit.
+    keeping the same columns share a group of the core. One greedy pass
+    over the designs in group order packs them into core calls: consecutive
+    designs share a call while their stacked designs (one copy per level and
+    column) total at most ``_STACK_BYTES``, a design above it runs alone, and
+    its T * K problems are never separated. Each problem is solved alone, so
+    the packing changes no bit.
     """
     taus = np.asarray(taus, dtype=float)
     for design, response in zip(designs, responses):
@@ -354,15 +354,13 @@ def _fit_stack(designs, responses, taus) -> tuple:
         groups.setdefault(tuple(_column_rank(design)), []).append(g)
     groups.pop((), None)  # a design of rank 0 keeps zero coefficients
     # Problems in (design, level, response column) order, designs by group,
-    # groups cut between designs and packed into core calls by the bytes of
-    # their stacked designs.
+    # packed into core calls by the bytes of their stacked designs.
     column = T * K * n * 8  # bytes of one design column, stacked
-    groups = [(keep, [members[i] for i in part]) for keep, members in groups.items()
-              for part in _packs([column * len(keep)] * len(members))]
-    sizes = [column * len(keep) * len(members) for keep, members in groups]
-    for pack in _packs(sizes):
-        part = [groups[i] for i in pack]
-        order = [g for _, members in part for g in members]
+    queue = [(keep, g) for keep, members in groups.items() for g in members]
+    for pack in _packs([column * len(keep) for keep, _ in queue]):
+        order = [queue[i][1] for i in pack]
+        part = [(keep, [queue[i][1] for i in run])
+                for keep, run in itertools.groupby(pack, key=lambda i: queue[i][0])]
         Xs = [np.repeat(np.stack([designs[g][:, keep] for g in members]), T * K, axis=0)
               for keep, members in part]
         y = np.tile(np.stack([responses[g] for g in order]).swapaxes(1, 2), (1, T, 1))
