@@ -32,14 +32,16 @@ class RankDeficiencyWarning(UserWarning):
 def _warn_rank(message: str) -> None:
     """Emit a ``RankDeficiencyWarning`` naming the first caller that is
     neither in the package nor in ``runpy`` (which calls in under
-    ``python -m``, frozen or not), or the outermost package frame if no such
-    caller exists; call depth differs per entry point, so no fixed
-    stacklevel can."""
+    ``python -m``, frozen or not), ``threading`` or
+    ``concurrent.futures.thread`` (which start a worker thread's call), or
+    the outermost package frame if no such caller exists; call depth differs
+    per entry point, so no fixed stacklevel can."""
     frame, level, outermost = sys._getframe(1), 2, 2
     while frame is not None:
         if frame.f_code.co_filename.startswith(_PACKAGE_DIR):
             outermost = level
-        elif frame.f_globals.get("__name__") != "runpy":
+        elif frame.f_globals.get("__name__") not in ("runpy", "threading",
+                                                      "concurrent.futures.thread"):
             break
         frame, level = frame.f_back, level + 1
     warnings.warn(message, RankDeficiencyWarning, stacklevel=outermost if frame is None else level)

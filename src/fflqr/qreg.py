@@ -220,14 +220,13 @@ def _frisch_newton(Xs, y: np.ndarray, tau: np.ndarray) -> tuple:
     for i, rs in enumerate(_slices(groups)):
         Q, R = np.linalg.qr(groups[i][1])
         groups[i] += (np.linalg.solve(R, _mv(Q.swapaxes(1, 2), -y[rs])[..., None])[..., 0],)
+    # zeta = c - X nu with c = -y, so -zeta are the residuals y - X b.
     zeta = -y - np.concatenate([_mv(X, nu) for _, X, nu in groups])
     h = np.maximum(1e-4, 1e-4 * np.mean(np.abs(zeta), axis=1))[:, None]
     z = np.maximum(zeta, 0.0) + h
     w = np.maximum(-zeta, 0.0) + h
 
     for _ in range(_MAX_ITER):
-        # zeta = c - X nu with c = -y, so -zeta are the residuals y - X b.
-        zeta = -y - np.concatenate([_mv(X, nu) for _, X, nu in groups])
         gap = _dot(a, z) + _dot(s, w)
         objective = np.sum(-zeta * (tau - (-zeta < 0)), axis=1)
         done = gap < _GAP_REL * (1.0 + np.abs(objective))
@@ -283,6 +282,8 @@ def _frisch_newton(Xs, y: np.ndarray, tau: np.ndarray) -> tuple:
         w = w + alpha_d[:, None] * dw
         groups = [(g, X, nu + alpha_d[rs, None] * dnu)
                   for (g, X, nu, _), rs, dnu in zip(groups, _slices(groups), dnus)]
+        # The next iteration's residuals, at the new nu.
+        zeta = -y - np.concatenate([_mv(X, nu) for _, X, nu in groups])
 
     return coefs, solved
 

@@ -75,25 +75,27 @@ def log_loss_norm(Y: FunctionalSample, fitted: FunctionalSample, tau: float) -> 
     return float(np.sqrt(np.sum(Y.grid.weights * log_loss**2)))
 
 
-def _losses(Y: FunctionalSample, dec, candidates, tau: float, k_y_max: int):
-    """Generator returning, per ``(D, k_x)`` candidate, ``log_loss_norm`` at
-    ``k_y = 1..k_y_max`` on predictor positions ``D`` at ``k_x``, or the
-    ``NumericalError`` naming its unsolved response column; and per
-    candidate, its (q, k_y_max) coefficients. All candidates share one
-    stacked solve, its one request to ``_drive``."""
+def _losses(Y: FunctionalSample, dec, candidates, tau: float, ks):
+    """Generator scoring ``(D, k_x)`` candidates, predictor positions ``D``
+    at ``k_x``, in one stacked solve, its one request to ``_drive``. Returns,
+    per candidate, its ``log_loss_norm`` at each ``k_y`` in ``ks``, its note
+    and its (q, max(ks)) coefficients. The one place an unsolved candidate is
+    scored: NaN at every ``k_y``, noted with its ``_column_failure`` text; a
+    solved candidate's note is ``""``."""
     (basis, xi), preds = dec
     designs = [_design(preds[m][1][:, :k_x] for m in D) for D, k_x in candidates]
-    coefs, solved = yield designs, [xi[:, :k_y_max]] * len(designs), [tau]
+    coefs, solved = yield designs, [xi[:, :max(ks)]] * len(designs), [tau]
+    notes = [str(_column_failure(ok[0]) or "") for ok in solved]
     losses = [
-        _column_failure(ok[0]) or [
+        [math.nan] * len(ks) if note else [
             log_loss_norm(Y, FunctionalSample(
                 basis.mean + design @ c[0][:, :k] @ basis.eigenfunctions[:k], Y.grid
             ), tau)
-            for k in range(1, k_y_max + 1)
+            for k in ks
         ]
-        for design, c, ok in zip(designs, coefs, solved)
+        for design, c, note in zip(designs, coefs, notes)
     ]
-    return losses, [c[0] for c in coefs]
+    return losses, notes, [c[0] for c in coefs]
 
 
 def _drive(steps) -> list:
@@ -140,31 +142,6 @@ def _loss_at(Y: FunctionalSample, X, tau: float, k_y: int, k_x: int) -> float:
 def bic_truncation(Y: FunctionalSample, X, tau: float, k_y: int, k_x: int) -> float:
     """BIC of an (k_y, k_x) truncation: log-loss norm plus ``(k_y + k_x) ln n``."""
     return _loss_at(Y, X, tau, k_y, k_x) + (k_y + k_x) * math.log(Y.n)
-
-
-def _search_truncation(Y, dec, D, tau: float, k_y_max: int, k_x_max: int):
-    """Generator of the exhaustive truncation search, one stacked solve for
-    every ``k_x``; a failed ``k_x`` fails every ``k_y`` there, with its error
-    as the note. Returns the chosen ``k_y`` and ``k_x``, the trace and the
-    chosen model's coefficients, a slice of that solve."""
-    k_xs = range(1, k_x_max + 1)
-    losses, coefs = yield from _losses(Y, dec, [(D, k_x) for k_x in k_xs], tau, k_y_max)
-    losses = dict(zip(k_xs, losses))
-    notes = {k_x: str(v) for k_x, v in losses.items() if isinstance(v, NumericalError)}
-    losses.update((k_x, [math.nan] * k_y_max) for k_x in notes)
-    trace = [
-        BicTraceEntry("truncation", f"K=({k_y},{k_x})", k_y, k_x,
-                      losses[k_x][k_y - 1] + (k_y + k_x) * math.log(Y.n), False,
-                      notes.get(k_x, ""))
-        for k_y in range(1, k_y_max + 1)
-        for k_x in range(1, k_x_max + 1)
-    ]
-    fitted = [e for e in trace if not math.isnan(e.bic)]
-    if not fitted:
-        raise NumericalError("every truncation candidate failed to fit")
-    best = min(fitted, key=lambda e: (e.bic, e.k_y + e.k_x, e.k_y))
-    trace = tuple(replace(e, accepted=e is best) for e in trace)
-    return best.k_y, best.k_x, trace, coefs[best.k_x - 1][:, :best.k_y].copy()
 
 
 def select_truncation(
@@ -277,8 +254,10 @@ def _select(Y, X, tau, D, fixed_k, k_y_max, k_x_max, ratio_threshold=0.95) -> tu
 def _choice(Y, dec, tau, D, fixed_k, k_y_max, k_x_max, ratio_threshold=0.95):
     """Generator behind ``_select`` on ``dec``, a ``_decompose`` output of Y
     and every candidate, whose widths bound the truncation search; the Monte
-    Carlo study drives one per replicate. One ``_fit_stack`` request per
-    forward stage and one for the truncation search."""
+    Carlo study drives one per replicate. Each forward stage scores its
+    candidate sets at ``fixed_k`` only, then the truncation search scores
+    every ``(k_y, k_x)`` on the chosen set: one ``_losses`` request each. An
+    unsolved candidate stays in the trace with a NaN BIC and is never chosen."""
     n = Y.n
     response, preds = dec
     trace, chosen, current_bic = [], [], None
@@ -287,14 +266,12 @@ def _choice(Y, dec, tau, D, fixed_k, k_y_max, k_x_max, ratio_threshold=0.95):
         stage = f"stage{len(chosen) + 1}"
         results = []
         sets = [chosen + [label] for label in remaining]
-        losses, _ = yield from _losses(
-            Y, dec, [([i - 1 for i in S], fixed_k) for S in sets], tau, fixed_k
+        losses, notes, _ = yield from _losses(
+            Y, dec, [([i - 1 for i in S], fixed_k) for S in sets], tau, [fixed_k]
         )
-        for label, S, loss in zip(remaining, sets, losses):
-            if isinstance(loss, NumericalError):
-                bic, note = math.nan, str(loss)
-            else:
-                bic, note = loss[-1] + len(S) * math.log(n) / (2 * n), ""
+        for label, S, (loss,), note in zip(remaining, sets, losses, notes):
+            bic = loss + len(S) * math.log(n) / (2 * n)
+            if not note:
                 results.append((bic, label, len(trace)))
             name = "{" + ",".join(str(i) for i in S) + "}"
             trace.append(BicTraceEntry(stage, name, fixed_k, fixed_k, bic, False, note))
@@ -311,14 +288,28 @@ def _choice(Y, dec, tau, D, fixed_k, k_y_max, k_x_max, ratio_threshold=0.95):
         if not chosen:
             raise NumericalError("no predictor candidate could be fit")
         D = tuple(chosen)
-    k_y_max = min(k_y_max, response[0].n_components)
-    k_x_max = min([k_x_max] + [preds[i - 1][0].n_components for i in D])
-    k_y, k_x, k_trace, coefs = yield from _search_truncation(
-        Y, dec, [i - 1 for i in D], tau, k_y_max, k_x_max
+    k_ys = range(1, min(k_y_max, response[0].n_components) + 1)
+    k_xs = range(1, min([k_x_max] + [preds[i - 1][0].n_components for i in D]) + 1)
+    losses, notes, coefs = yield from _losses(
+        Y, dec, [([i - 1 for i in D], k_x) for k_x in k_xs], tau, k_ys
     )
+    searched = [
+        BicTraceEntry("truncation", f"K=({k_y},{k_x})", k_y, k_x,
+                      losses[k_x - 1][k_y - 1] + (k_y + k_x) * math.log(n), False,
+                      notes[k_x - 1])
+        for k_y in k_ys
+        for k_x in k_xs
+    ]
+    fitted = [e for e in searched if not math.isnan(e.bic)]
+    if not fitted:
+        raise NumericalError("every truncation candidate failed to fit")
+    best = min(fitted, key=lambda e: (e.bic, e.k_y + e.k_x, e.k_y))
+    trace += [replace(e, accepted=e is best) for e in searched]
+    k_y, k_x = best.k_y, best.k_x
     model_dec = _leading(response, k_y), [_leading(preds[i - 1], k_x) for i in D]
-    fit = FflqrFit(tau, model_dec[0][0], tuple(basis for basis, _ in model_dec[1]), coefs, D)
-    return D, k_y, k_x, tuple(trace) + k_trace, model_dec, fit
+    fit = FflqrFit(tau, model_dec[0][0], tuple(basis for basis, _ in model_dec[1]),
+                   coefs[k_x - 1][:, :k_y].copy(), D)
+    return D, k_y, k_x, tuple(trace), model_dec, fit
 
 
 def write_trace_csv(trace, path) -> None:

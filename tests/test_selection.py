@@ -209,6 +209,25 @@ class TestForwardSelect:
         for prev, new in zip(accepted, accepted[1:]):
             assert prev.bic - new.bic > 0.05 * abs(prev.bic) - 1e-12
 
+    def test_each_stage_candidate_scored_once(self, monkeypatch):
+        # a stage scores its candidates at fixed_k only; the truncation
+        # search then scores every (k_y, k_x) of the chosen set once
+        calls = []
+        real = selection.log_loss_norm
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(selection, "log_loss_norm", counted)
+        rng = np.random.default_rng(12)
+        Y, xs = noisy_pair(rng, m=3)
+        res = forward_select(Y, xs, 0.5, fixed_k=3, k_y_max=3, k_x_max=2)
+        stages = [e for e in res.bic_trace if e.stage.startswith("stage")]
+        assert len(stages) >= 3
+        assert not any(math.isnan(e.bic) for e in res.bic_trace)
+        assert len(calls) == len(stages) + 3 * 2
+
     def test_chosen_k_from_final_truncation_pass(self):
         rng = np.random.default_rng(14)
         Y, xs = noisy_pair(rng, m=2)

@@ -11,7 +11,7 @@ import fflqr.model as model_mod
 import fflqr.selection as selection_mod
 import fflqr.simulate as sim_mod
 from fflqr.bands import MetricsReport, mspe
-from fflqr.errors import ConfigError, NumericalError
+from fflqr.errors import ConfigError, NumericalError, RankDeficiencyWarning
 from fflqr.fdata import FunctionalSample, make_uniform_grid
 from fflqr.model import fit_fflqr, predict
 from fflqr.simulate import (
@@ -408,6 +408,17 @@ class TestRunMonteCarlo:
         assert run_monte_carlo(config, n_threads=1, **kw) == run_monte_carlo(
             config, n_threads=2, **kw
         )
+
+    def test_rank_warning_from_a_worker_names_the_package_task(self):
+        # A worker thread's stack starts in threading and concurrent.futures,
+        # never in the caller's code, so its warnings name the outermost
+        # package frame, the study's task, and never the executor.
+        config = tiny_config()
+        for n_threads, want in ((1, __file__), (2, sim_mod.__file__)):
+            with pytest.warns(RankDeficiencyWarning) as record:
+                run_monte_carlo(config, n_threads=n_threads)
+            assert {w.filename for w in record
+                    if issubclass(w.category, RankDeficiencyWarning)} == {want}
 
     def test_band_metrics_and_direct_rows(self):
         config = tiny_config(n_replicates=1)
