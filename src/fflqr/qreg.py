@@ -7,7 +7,9 @@ predictor-corrector iteration (Frisch-Newton). The dual LP is
     max  y' a   s.t.  X' a = (1 - tau) X' 1,   0 <= a <= 1,
 
 and the regression coefficients are recovered from the multipliers of the
-equality constraints.
+equality constraints. Each iteration factors every problem's normal matrix
+``X' D X`` by Cholesky and inverts the factor once; the predictor and the
+corrector direction each cost two matrix-vector products with the inverse.
 
 One core solves a stack of problems, each with its own design, response
 and level. Designs of one width form a group owning a block of rows of the
@@ -162,9 +164,10 @@ def _cholesky(M: np.ndarray) -> tuple:
     return L, factored
 
 
-def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``L L' x = rhs`` for each factor in the stack."""
-    return np.linalg.solve(L.swapaxes(1, 2), np.linalg.solve(L, rhs[..., None]))[..., 0]
+def _cho_solve(Linv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``L L' x = rhs`` for each inverted Cholesky factor ``L^-1`` in
+    the stack, as ``L^-T (L^-1 rhs)``: two matrix-vector products."""
+    return _mv(Linv.swapaxes(1, 2), _mv(Linv, rhs))
 
 
 def _slices(groups) -> list:
@@ -181,9 +184,10 @@ def _keep(keep: np.ndarray, groups: list, rows) -> tuple:
 
 
 def _newton(groups: list, v: np.ndarray) -> tuple:
-    """Per group, ``dnu`` solving ``L L' dnu = X' v`` on its rows, and ``X dnu``."""
-    dnus = [_cho_solve(L, _mv(X.swapaxes(1, 2), v[rs]))
-            for (_, X, _, L), rs in zip(groups, _slices(groups))]
+    """Per group, ``dnu`` solving ``L L' dnu = X' v`` on its rows, from the
+    group's inverted factors ``L^-1``, and ``X dnu``."""
+    dnus = [_cho_solve(Linv, _mv(X.swapaxes(1, 2), v[rs]))
+            for (_, X, _, Linv), rs in zip(groups, _slices(groups))]
     return dnus, np.concatenate([_mv(grp[1], dnu) for grp, dnu in zip(groups, dnus)])
 
 
@@ -194,7 +198,10 @@ def _frisch_newton(Xs, y: np.ndarray, tau: np.ndarray) -> tuple:
     problems own consecutive rows of ``y`` (B, n) and ``tau`` (B,). Returns
     the G (B_g, q_g) coefficient arrays and the (B,) mask of the problems
     solved. Every operation acts on each problem alone, so a problem gets
-    the same coefficients in any stack; problems leave as they finish.
+    the same coefficients in any stack; problems leave as they finish, and
+    so do problems whose normal matrix ``_cholesky`` cannot factor. Each
+    iteration's group tuples hold the inverses of the factors, which both
+    Newton directions share.
     """
     # Contiguous rows keep every reduction in one summation order.
     Xs = [np.ascontiguousarray(X, dtype=float) for X in Xs]
@@ -249,6 +256,8 @@ def _frisch_newton(Xs, y: np.ndarray, tau: np.ndarray) -> tuple:
             groups, (y, tau, a, s, z, w, zeta, gap, idx, pos, d) = _keep(keep, groups, rows)
             if idx.size == 0:
                 break
+        # Inverted after the cut: an unfactored problem's L is uninitialised.
+        groups = [(g, X, nu, np.linalg.inv(L)) for g, X, nu, L in groups]
         mu = (gap / (2.0 * n))[:, None]
 
         # Affine (predictor) direction: pure Newton toward complementarity 0.
@@ -265,7 +274,7 @@ def _frisch_newton(Xs, y: np.ndarray, tau: np.ndarray) -> tuple:
         )[:, None] / (2.0 * n)
         sigma = np.clip((np.maximum(mu_aff, 0.0) / mu) ** 3, 1e-8, 1.0 - 1e-8)
 
-        # Combined corrector step with the same factorizations.
+        # Combined corrector step with the same inverted factors.
         t1 = sigma * mu - da * dz - a * z
         t2 = sigma * mu + da * dw - s * w
         r = d * (t1 / a - t2 / s)

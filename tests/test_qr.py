@@ -90,6 +90,35 @@ class TestRatioTests:
             qreg._box_step(v, 1.0 - v, dv)
 
 
+def late_normal_stack(seed, B=25, n=200, q=10):
+    """A stack of normal matrices ``X' diag(d) X`` as late interior-point
+    iterations form them: d spans 1e0..1e8 on q near-basic rows and
+    1e-8..1e0 on the rest. Returns the stack and one right side per matrix."""
+    rng = np.random.default_rng(seed)
+    X = np.concatenate([np.ones((B, n, 1)), rng.normal(size=(B, n, q - 1))], axis=2)
+    d = 10.0 ** rng.uniform(-8.0, 0.0, size=(B, n))
+    d[:, :q] = 10.0 ** rng.uniform(0.0, 8.0, size=(B, q))
+    return X.swapaxes(1, 2) @ (X * d[:, :, None]), rng.normal(size=(B, q))
+
+
+class TestNewtonSolve:
+    """The core's Newton solve through inverted Cholesky factors agrees with
+    LAPACK's triangular solves, problem by problem. Measured: at most 4.0e-15
+    relative on these seeds and 2.9e-14 over 5,000 such problems (seeds
+    0-199), whose condition numbers reach 5.5e8; the bound leaves a 35-fold
+    margin over the latter. Swapping ``L^-1`` and ``L^-T`` reads 0.5 or more
+    on every problem."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_cho_solve_per_problem(self, seed):
+        M, v = late_normal_stack(seed)
+        L = np.linalg.cholesky(M)
+        got = qreg._cho_solve(np.linalg.inv(L), v)
+        for b in range(len(M)):
+            want = scipy.linalg.cho_solve((L[b], True), v[b])
+            assert np.max(np.abs(got[b] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestQrProblem:
     def test_more_columns_than_rows_raises(self):
         with pytest.raises(ValueError, match="rows"):

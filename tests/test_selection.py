@@ -301,6 +301,84 @@ class TestTracesAgreeWithPublicBic:
             assert abs(e.bic - want) <= 1e-9
 
 
+# On chisq1 data with n_train=60, at tau=0.5, fixed_k=2 and maxima (3, 3):
+# forward_select's predictors and truncation pair, select_truncation's pair,
+# and every BIC of the two traces in order. Recorded from the Newton solve
+# through LU solves on the Cholesky factors, before the inverted factors
+# replaced it.
+TOLERANCE_RECORD = {
+    1: (
+        (5,), (1, 1), (1, 1),
+        (
+            "0x1.9edebfe0e7fe2p+1", "0x1.9f3ea2309f053p+1", "0x1.9be918eaf01a3p+1",
+            "0x1.9aad9badc1708p+1", "0x1.9975be9639471p+1", "0x1.9e3fcca3f6700p+1",
+            "0x1.9df36bdc627f3p+1", "0x1.9dabc30f2194ap+1", "0x1.9d3b9e0e0cc23p+1",
+            "0x1.6c8f4914452eep+3", "0x1.ee9a883c39294p+3", "0x1.38cd5be9abe52p+4",
+            "0x1.efaa3f799d093p+3", "0x1.38acb4ab5b365p+4", "0x1.7a23b7766643ap+4",
+            "0x1.395d7684e1660p+4", "0x1.7a3b7ea95e4dap+4", "0x1.bba89099dd51fp+4",
+        ),
+        (
+            "0x1.6c3da40ffade2p+3", "0x1.ee18379807c40p+3", "0x1.3849fb88921a3p+4",
+            "0x1.ef1258edcf922p+3", "0x1.3843428edbe51p+4", "0x1.79958c3baa17cp+4",
+            "0x1.391a5d7577628p+4", "0x1.79b513dd04153p+4", "0x1.bad87b66f3046p+4",
+        ),
+    ),
+    2: (
+        (4,), (1, 1), (1, 1),
+        (
+            "0x1.a1da0b77b2290p+1", "0x1.a2d94e4756564p+1", "0x1.a20ffd5161d13p+1",
+            "0x1.9f612c7d22012p+1", "0x1.9ff785a38343ap+1", "0x1.a419e8de48f41p+1",
+            "0x1.a19d0ca5002aep+1", "0x1.a08f8ed33c0f9p+1", "0x1.a3a70bfdf6b8ap+1",
+            "0x1.6d5112cf6d46bp+3", "0x1.efdc732bbdde7p+3", "0x1.39776f370d9b3p+4",
+            "0x1.f04423a0a5fe2p+3", "0x1.396a2268384d9p+4", "0x1.7af688613b61cp+4",
+            "0x1.39a51bdc91ddfp+4", "0x1.7aecfc9c45b22p+4", "0x1.bc79dd0bfc780p+4",
+        ),
+        (
+            "0x1.6c282caca90cbp+3", "0x1.ec6af39ef0869p+3", "0x1.3684e0b541762p+4",
+            "0x1.eefdf99730646p+3", "0x1.375cf6885de78p+4", "0x1.77a8aeea0f8fap+4",
+            "0x1.3910846f5e05cp+4", "0x1.78b61034951eap+4", "0x1.b907b1ed01800p+4",
+        ),
+    ),
+    3: (
+        (5,), (1, 1), (1, 1),
+        (
+            "0x1.a8a4cbd5fc9ffp+1", "0x1.a26792688e2dcp+1", "0x1.a8d1bfd2d3d47p+1",
+            "0x1.a6b1b6a1a6fc9p+1", "0x1.a1cfe31fb24fep+1", "0x1.a1016103142d3p+1",
+            "0x1.a27e69a36a985p+1", "0x1.a259586b44aebp+1", "0x1.a4b804239faa2p+1",
+            "0x1.6d5ce904dbe6ep+3", "0x1.f04608445234ap+3", "0x1.39a9416560f2ep+4",
+            "0x1.f04a11af5b97ep+3", "0x1.39b7f93c8a576p+4", "0x1.7b3340eabff1bp+4",
+            "0x1.39a629c640b72p+4", "0x1.7b37cbbdd8c9ap+4", "0x1.bcb4f53b22c53p+4",
+        ),
+        (
+            "0x1.6c0c644caf858p+3", "0x1.ecb45ce846693p+3", "0x1.37546ebba5e84p+4",
+            "0x1.ef09453481699p+3", "0x1.37a17619c4919p+4", "0x1.788ad513c9c52p+4",
+            "0x1.38fdd3c7a61cdp+4", "0x1.791bb0305e06ep+4", "0x1.ba0604ad925dap+4",
+        ),
+    ),
+}
+
+
+class TestOutputTolerance:
+    """The README's output tolerance on the model choice: every discrete
+    choice as recorded and every BIC within 1e-9 relative of its record."""
+
+    @pytest.mark.parametrize("seed", sorted(TOLERANCE_RECORD))
+    def test_choices_identical_and_bics_within_tolerance(self, seed):
+        predictors, forward_k, search_k, forward_bics, search_bics = TOLERANCE_RECORD[seed]
+        data = generate_dataset(SimConfig(n_train=60, n_test=10, error_dist="chisq1"), seed)
+        Y, X = data.Y_train, data.X_train
+        res = forward_select(Y, X, 0.5, fixed_k=2, k_y_max=3, k_x_max=3)
+        k_y, k_x, trace = select_truncation(Y, X, 0.5, 3, 3)
+        assert res.chosen_predictors == predictors
+        assert (res.chosen_k_y, res.chosen_k_x) == forward_k
+        assert (k_y, k_x) == search_k
+        for entries, recorded in ((res.bic_trace, forward_bics), (trace, search_bics)):
+            assert len(entries) == len(recorded)
+            for e, bic in zip(entries, recorded):
+                want = float.fromhex(bic)
+                assert abs(e.bic - want) <= 1e-9 * abs(want)
+
+
 UNSOLVED_NOTE = (
     "response column 0: interior point did not converge in 200 iterations "
     "or could not factor its normal equations"
