@@ -71,7 +71,7 @@ def _load_config(args) -> SimConfig:
     d = {}
     if args.config:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with open(args.config, "r", encoding="utf-8-sig") as fh:
                 loaded = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc

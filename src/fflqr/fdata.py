@@ -23,8 +23,6 @@ __all__ = [
     "Grid",
     "FunctionalSample",
     "make_uniform_grid",
-    "inner_product",
-    "center",
     "read_sample_csv",
     "write_sample_csv",
 ]
@@ -84,14 +82,10 @@ class Grid:
     def size(self) -> int:
         return self.points.size
 
-    @property
-    def length(self) -> float:
-        return float(self.points[-1] - self.points[0])
-
-    def close_to(self, other: "Grid", atol: float = 1e-12) -> bool:
-        """Whether two grids share the same points up to ``atol``."""
+    def close_to(self, other: "Grid") -> bool:
+        """Whether two grids share the same points up to 1e-12."""
         return self.size == other.size and bool(
-            np.allclose(self.points, other.points, rtol=0.0, atol=atol)
+            np.allclose(self.points, other.points, rtol=0.0, atol=1e-12)
         )
 
 
@@ -154,29 +148,6 @@ class FunctionalSample:
         return self.values.shape[1]
 
 
-def inner_product(f, g, grid: Grid) -> float:
-    """Quadrature inner product ``sum_j w_j f_j g_j`` of two curves."""
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.shape != (grid.size,) or g.shape != (grid.size,):
-        raise ValueError("f and g must be vectors of the grid length")
-    return float(np.sum(grid.weights * f * g))
-
-
-def center(sample: FunctionalSample) -> tuple[FunctionalSample, np.ndarray]:
-    """Remove the pointwise sample mean curve.
-
-    Returns
-    -------
-    centered : FunctionalSample
-        Sample with column means zero.
-    mean : ndarray, shape (p,)
-        The removed mean curve.
-    """
-    mean = sample.values.mean(axis=0)
-    return FunctionalSample(sample.values - mean, sample.grid), mean
-
-
 # numpy strips these around a field, float() rejects them; as "?" both reject them.
 _SEPARATORS = str.maketrans(dict.fromkeys("\x1c\x1d\x1e\x1f", "?"))
 
@@ -203,10 +174,11 @@ def read_sample_csv(path) -> FunctionalSample:
     line holds one curve. numpy's parser reads the values, so Python-only
     spellings such as ``1_0`` are rejected. Blank and whitespace-only lines
     are skipped, and errors name the line of the file. Ragged rows and
-    non-finite grid points are rejected, as is a file that is not UTF-8.
+    non-finite grid points are rejected, as is a file that is not UTF-8; a
+    leading UTF-8 byte-order mark is skipped.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from exc

@@ -421,7 +421,7 @@ def save_model(fit, path) -> None:
 def load_model(path):
     """Load a model written by ``save_model``; ``DataError`` if it is malformed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
         kind = doc.get("kind") if isinstance(doc, dict) else None
         if kind in ("fflqr", "fpc-ls", "bspline-ls"):

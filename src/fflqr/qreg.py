@@ -143,12 +143,13 @@ def _box_step(a: np.ndarray, s: np.ndarray, da: np.ndarray) -> np.ndarray:
 def _cholesky(M: np.ndarray) -> tuple:
     """Lower Cholesky factors of a stack of normal matrices, and the mask of
     the matrices factored. When the batched factorization fails, each matrix
-    is retried alone, and only the failing ones get growing diagonal jitter."""
+    is retried alone, and only the failing ones get growing diagonal jitter;
+    a matrix left unfactored gets the identity in its slot."""
     try:
         return np.linalg.cholesky(M), np.ones(len(M), dtype=bool)
     except np.linalg.LinAlgError:
         pass
-    L = np.empty_like(M)
+    L = np.array(np.broadcast_to(np.eye(M.shape[1]), M.shape))
     factored = np.zeros(len(M), dtype=bool)
     for b, Mb in enumerate(M):
         jitter = 0.0
@@ -218,7 +219,7 @@ def _frisch_newton(Xs, y: np.ndarray, tau: np.ndarray) -> tuple:
     y = y / scale[:, None]
     n = y.shape[1]
     idx = np.arange(len(y))
-    pos = np.concatenate([np.arange(len(X)) for X in Xs])  # place in its stack
+    first = np.cumsum([0] + [len(X) for X in Xs])  # group g's first row of y
     tau = np.asarray(tau, dtype=float)[:, None]
     a = np.repeat(1.0 - tau, n, axis=1)
     s = 1.0 - a
@@ -239,25 +240,24 @@ def _frisch_newton(Xs, y: np.ndarray, tau: np.ndarray) -> tuple:
         done = gap < _GAP_REL * (1.0 + np.abs(objective))
         if done.any():
             for (g, _, nu), rs in zip(groups, _slices(groups)):
-                coefs[g][pos[rs][done[rs]]] = -nu[done[rs]] * scale[idx[rs][done[rs]], None]
+                ids = idx[rs][done[rs]]
+                coefs[g][ids - first[g]] = -nu[done[rs]] * scale[ids, None]
             solved[idx[done]] = True
-            rows = (y, tau, a, s, z, w, zeta, gap, idx, pos)
-            groups, (y, tau, a, s, z, w, zeta, gap, idx, pos) = _keep(~done, groups, rows)
+            rows = (y, tau, a, s, z, w, zeta, gap, idx)
+            groups, (y, tau, a, s, z, w, zeta, gap, idx) = _keep(~done, groups, rows)
             if idx.size == 0:
                 break
 
         d = 1.0 / (z / a + w / s)
         factors = [_cholesky(X.swapaxes(1, 2) @ (X * d[rs, :, None]))
                    for (_, X, _), rs in zip(groups, _slices(groups))]
-        groups = [grp + (L,) for grp, (L, _) in zip(groups, factors)]
+        groups = [grp + (np.linalg.inv(L),) for grp, (L, _) in zip(groups, factors)]
         keep = np.concatenate([ok for _, ok in factors])
         if not keep.all():
-            rows = (y, tau, a, s, z, w, zeta, gap, idx, pos, d)
-            groups, (y, tau, a, s, z, w, zeta, gap, idx, pos, d) = _keep(keep, groups, rows)
+            rows = (y, tau, a, s, z, w, zeta, gap, idx, d)
+            groups, (y, tau, a, s, z, w, zeta, gap, idx, d) = _keep(keep, groups, rows)
             if idx.size == 0:
                 break
-        # Inverted after the cut: an unfactored problem's L is uninitialised.
-        groups = [(g, X, nu, np.linalg.inv(L)) for g, X, nu, L in groups]
         mu = (gap / (2.0 * n))[:, None]
 
         # Affine (predictor) direction: pure Newton toward complementarity 0.

@@ -29,6 +29,11 @@ __all__ = [
 # fits finite without disturbing the ordering of non-degenerate candidates.
 _LOSS_FLOOR = 1e-300
 
+# A forward stage is accepted only if it lowers the BIC by more than this
+# share of |previous|. Spelled 1.0 - 0.95, not 0.05: the two are different
+# doubles, and the comparison is exact.
+_STAGE_DROP = 1.0 - 0.95
+
 
 @dataclass(frozen=True)
 class BicTraceEntry:
@@ -170,20 +175,19 @@ def bic_candidate(
     return _loss_at(Y, X_subset, tau, k_y, k_x) + len(D) * math.log(Y.n) / (2 * Y.n)
 
 
-def _improves(bic_prev: float, bic_new: float, ratio_threshold: float) -> bool:
-    """Acceptance rule: the drop must exceed the threshold share of |previous|.
+def _improves(bic_prev: float, bic_new: float) -> bool:
+    """Acceptance rule: the drop must exceed ``_STAGE_DROP`` of |previous|.
 
-    Equals ``bic_new / bic_prev < ratio_threshold`` whenever the previous
-    BIC is positive, and stays meaningful when the log-norm turns negative.
+    Equals ``bic_new / bic_prev < 0.95`` whenever the previous BIC is
+    positive, and stays meaningful when the log-norm turns negative.
     """
-    return (bic_prev - bic_new) > (1.0 - ratio_threshold) * abs(bic_prev)
+    return (bic_prev - bic_new) > _STAGE_DROP * abs(bic_prev)
 
 
 def forward_select(
     Y: FunctionalSample,
     X,
     tau: float,
-    ratio_threshold: float = 0.95,
     fixed_k: int = 2,
     k_y_max: int = 5,
     k_x_max: int = 5,
@@ -192,8 +196,8 @@ def forward_select(
 
     Stage 1 fits every single-predictor model at ``K = fixed_k`` and keeps
     the BIC minimizer. Each later stage tries the unused predictors, takes
-    the best extension and accepts it only if the BIC improves by at least
-    ``1 - ratio_threshold`` of the current value. After the set is fixed,
+    the best extension and accepts it only if the BIC drops by more than 5
+    percent of its current magnitude, a fixed rule. After the set is fixed,
     the truncation pair is re-tuned on it by exhaustive search up to
     ``(k_y_max, k_x_max)``. Each sample is decomposed once for all of this.
 
@@ -205,8 +209,6 @@ def forward_select(
         All M candidate predictors; labels are their 1-based positions.
     tau : float
         Quantile level.
-    ratio_threshold : float
-        Acceptance ratio; 0.95 demands a 5 percent improvement.
     fixed_k : int
         Truncation used for both response and predictors during selection.
     k_y_max, k_x_max : int
@@ -214,9 +216,7 @@ def forward_select(
     """
     if len(X) < 1:
         raise ValueError("need at least one candidate predictor")
-    D, k_y, k_x, trace, _, _ = _select(
-        Y, X, tau, None, fixed_k, k_y_max, k_x_max, ratio_threshold
-    )
+    D, k_y, k_x, trace, _, _ = _select(Y, X, tau, None, fixed_k, k_y_max, k_x_max)
     return SelectionResult(k_y, k_x, D, trace)
 
 
@@ -231,7 +231,7 @@ def _widths(Y, X, fixed_k, k_y_max, k_x_max) -> tuple:
     ]
 
 
-def _select(Y, X, tau, D, fixed_k, k_y_max, k_x_max, ratio_threshold=0.95) -> tuple:
+def _select(Y, X, tau, D, fixed_k, k_y_max, k_x_max) -> tuple:
     """The one model choice on Y and the candidates X: forward stages at
     ``fixed_k`` pick the labels when ``D`` is None, then the truncation search
     runs up to the maxima. Forward selection decomposes at ``_widths``; given
@@ -246,12 +246,11 @@ def _select(Y, X, tau, D, fixed_k, k_y_max, k_x_max, ratio_threshold=0.95) -> tu
         raise ValueError("truncation maxima must be at least 1")
     else:
         widths = k_y_max, [k_x_max] * len(X)
-    steps = _choice(Y, _decompose(Y, X, *widths), tau, D, fixed_k, k_y_max, k_x_max,
-                    ratio_threshold)
+    steps = _choice(Y, _decompose(Y, X, *widths), tau, D, fixed_k, k_y_max, k_x_max)
     return _unwrap(_drive([steps])[0])
 
 
-def _choice(Y, dec, tau, D, fixed_k, k_y_max, k_x_max, ratio_threshold=0.95):
+def _choice(Y, dec, tau, D, fixed_k, k_y_max, k_x_max):
     """Generator behind ``_select`` on ``dec``, a ``_decompose`` output of Y
     and every candidate, whose widths bound the truncation search; the Monte
     Carlo study drives one per replicate. Each forward stage scores its
@@ -278,7 +277,7 @@ def _choice(Y, dec, tau, D, fixed_k, k_y_max, k_x_max, ratio_threshold=0.95):
         if not results:
             break
         best_bic, best_label, idx = min(results)
-        if chosen and not _improves(current_bic, best_bic, ratio_threshold):
+        if chosen and not _improves(current_bic, best_bic):
             break
         trace[idx] = replace(trace[idx], accepted=True)
         chosen.append(best_label)

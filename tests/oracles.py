@@ -6,7 +6,6 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linprog
 
-from fflqr.fdata import center
 from fflqr.fpca import _EIGVAL_RTOL, FpcBasis
 from fflqr.qreg import check_loss
 
@@ -64,12 +63,13 @@ def mspe_naive(true_values, pred_values, points):
 
 def _fpca(sample, K, eigh):
     """The steps of ``fpc_decompose`` with ``eigh`` for its eigensolver:
-    ``center``, the weighted covariance ``sym``, ``eigh(sym)``, the zero
+    centring, the weighted covariance ``sym``, ``eigh(sym)``, the zero
     cutoff and the sign rule."""
-    centered, mean = center(sample)
+    mean = sample.values.mean(axis=0)
+    centered = sample.values - mean
     w = sample.grid.weights
     sqrt_w = np.sqrt(w)
-    cov = centered.values.T @ centered.values / len(centered.values)
+    cov = centered.T @ centered / len(centered)
     eigvals, eigvecs = eigh(sqrt_w[:, None] * cov * sqrt_w[None, :])
     order = np.argsort(eigvals)[::-1][:K]
     lam, vecs = eigvals[order], eigvecs[:, order]
@@ -77,7 +77,7 @@ def _fpca(sample, K, eigh):
     funcs = (vecs / sqrt_w[:, None]).T
     peaks = funcs[np.arange(K), np.argmax(np.abs(funcs), axis=1)]
     funcs = np.where(peaks[:, None] < 0, -funcs, funcs)
-    return FpcBasis(sample.grid, mean, funcs, lam), centered.values @ (funcs * w).T
+    return FpcBasis(sample.grid, mean, funcs, lam), centered @ (funcs * w).T
 
 
 def full_fpca(sample, K):

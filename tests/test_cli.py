@@ -711,6 +711,15 @@ class TestBadValueExitCodes:
         assert code == 2
         assert "c.json is not UTF-8" in capsys.readouterr().err
 
+    def test_byte_order_mark_config_reads_as_plain(self, tmp_path):
+        plain = write_config(tmp_path)
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for cfg, out in ((plain, "a"), (bom, "b")):
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+        for name in ("Y_train.csv", "X3_test.csv", "truth.json"):
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
     def test_benchmark_design_wider_than_sample_exits_2(self, tmp_path, capsys):
         # The full model's widest design has 1 + 5 * 5 = 26 columns.
         code = main(["benchmark", "--n-train", "20", "--out", str(tmp_path / "b")])

@@ -6,7 +6,7 @@ import pytest
 
 from fflqr.bands import PredictionBand, bootstrap_band, cpd
 from fflqr.errors import NumericalError
-from fflqr.fdata import FunctionalSample, Grid, inner_product, make_uniform_grid
+from fflqr.fdata import FunctionalSample, Grid, make_uniform_grid
 from fflqr.fpca import fpc_decompose, reconstruct
 from fflqr.model import FflqrFit, fit_bspline_ls, fit_fflqr, save_model
 from fflqr.qreg import QrProblem, qr_fit_multi, qr_objective
@@ -39,9 +39,6 @@ CASES = {
     "sample-1d": (
         lambda: FunctionalSample(np.zeros(6), GRID),
         ValueError, "values must be a 2-D array of shape (n, p)"),
-    "inner-product-length": (
-        lambda: inner_product(np.ones(5), np.ones(6), GRID),
-        ValueError, "f and g must be vectors of the grid length"),
     # fpca
     "decompose-zero-components": (
         lambda: fpc_decompose(sample(), 0), ValueError, "n_components must be positive"),

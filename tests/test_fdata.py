@@ -16,8 +16,6 @@ from fflqr.errors import DataError
 from fflqr.fdata import (
     FunctionalSample,
     Grid,
-    center,
-    inner_product,
     make_uniform_grid,
     read_sample_csv,
     write_sample_csv,
@@ -28,7 +26,7 @@ class TestGrid:
     def test_uniform_weights_sum_to_length(self):
         g = make_uniform_grid(101, 0.0, 1.0)
         assert g.size == 101
-        assert g.length == pytest.approx(1.0)
+        assert g.points[-1] - g.points[0] == pytest.approx(1.0)
         assert np.sum(g.weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_endpoint_weights_are_half(self):
@@ -82,6 +80,9 @@ class TestGrid:
         assert a.close_to(b)
         assert not a.close_to(c)
         assert not a.close_to(make_uniform_grid(11, 0.0, 1.0))
+        # points agree to 1e-12
+        assert a.close_to(Grid.from_points(a.points + 5e-13))
+        assert not a.close_to(Grid.from_points(a.points + 5e-12))
 
 
 class TestFunctionalSample:
@@ -102,39 +103,26 @@ class TestFunctionalSample:
         with pytest.raises(ValueError, match="finite"):
             FunctionalSample(vals, g)
 
-    def test_center_removes_mean(self):
-        rng = np.random.default_rng(0)
-        g = make_uniform_grid(20, 0.0, 1.0)
-        s = FunctionalSample(rng.normal(size=(15, 20)), g)
-        centered, mean = center(s)
-        np.testing.assert_allclose(centered.values.mean(axis=0), 0.0, atol=1e-14)
-        np.testing.assert_allclose(mean, s.values.mean(axis=0))
-
 
 class TestInnerProduct:
+    """The quadrature inner product ``sum(grid.weights * f * g)``."""
+
     def test_linear_functions_exact(self):
         # trapezoid quadrature integrates piecewise-linear integrands of
         # degree <= 1 exactly; <f, 1> with f(t) = t gives 1/2
         g = make_uniform_grid(51, 0.0, 1.0)
         f = g.points
         one = np.ones_like(f)
-        assert inner_product(f, one, g) == pytest.approx(0.5, abs=1e-14)
+        assert np.sum(g.weights * f * one) == pytest.approx(0.5, abs=1e-14)
 
     def test_quadratic_converges(self):
         exact = 1.0 / 3.0
         errs = []
         for m in (11, 101, 1001):
             g = make_uniform_grid(m, 0.0, 1.0)
-            errs.append(abs(inner_product(g.points, g.points, g) - exact))
+            errs.append(abs(np.sum(g.weights * g.points * g.points) - exact))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-6
-
-    def test_matches_weighted_sum(self):
-        rng = np.random.default_rng(3)
-        g = Grid.from_points(np.sort(rng.uniform(size=12)))
-        f = rng.normal(size=12)
-        h = rng.normal(size=12)
-        assert inner_product(f, h, g) == pytest.approx(np.sum(f * h * g.weights))
 
 
 class TestCsvRoundTrip:
@@ -220,6 +208,27 @@ class TestCsvRoundTrip:
         path = tmp_path / "latin.csv"
         path.write_bytes(b"0,0.5,1\n1,2,\xff\n")
         with pytest.raises(DataError, match=r"latin\.csv: not UTF-8"):
+            read_sample_csv(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # as spreadsheet "CSV UTF-8" exports write it
+        rng = np.random.default_rng(8)
+        s = FunctionalSample(rng.normal(size=(2, 5)), make_uniform_grid(5, 0.0, 1.0))
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_sample_csv(s, plain)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = read_sample_csv(plain), read_sample_csv(bom)
+        assert b.values.tobytes() == a.values.tobytes()
+        assert b.grid.points.tobytes() == a.grid.points.tobytes()
+
+    @pytest.mark.parametrize("text, line", [
+        (b"\xef\xbb\xbf\xef\xbb\xbf0,0.5,1\n1,2,3\n", 1),
+        (b"0,0.5,1\n\xef\xbb\xbf1,2,3\n", 2),
+    ], ids=["second-mark", "mark-on-line-2"])
+    def test_byte_order_mark_after_the_first_byte_raises(self, tmp_path, text, line):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text)
+        with pytest.raises(DataError, match=f"line {line}: non-numeric"):
             read_sample_csv(path)
 
 

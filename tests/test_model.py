@@ -8,7 +8,7 @@ import pytest
 import fflqr.model as model_mod
 from fflqr.errors import DataError, NumericalError, RankDeficiencyWarning
 from fflqr.fdata import (
-    FunctionalSample, Grid, _trapezoid_weights, inner_product, make_uniform_grid,
+    FunctionalSample, Grid, _trapezoid_weights, make_uniform_grid,
 )
 from fflqr.fpca import fpc_decompose, project_scores
 from fflqr.model import (
@@ -95,11 +95,11 @@ class TestFitFflqr:
         pred = predict(fit, [x])
         med = np.median(Y.values, axis=0)
         d_pred = np.mean(
-            [inner_product(p - med, p - med, g) for p in pred.values]
+            [np.sum(g.weights * (p - med) ** 2) for p in pred.values]
         )
         for j in rng.integers(0, 60, size=5):
             row = Y.values[j] - med
-            assert d_pred < inner_product(row, row, g)
+            assert d_pred < np.sum(g.weights * row ** 2)
 
     def test_scalar_reduction_matches_plain_qr(self):
         rng = np.random.default_rng(2)
@@ -530,6 +530,16 @@ class TestSerialization:
         np.testing.assert_allclose(
             predict(back, [x]).values, predict(fit, [x]).values, atol=1e-12
         )
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        rng = np.random.default_rng(20)
+        Y, x = representable_pair(rng)
+        save_model(fit_fflqr(Y, [x], 0.5, 2, 2), tmp_path / "m.json")
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "m.json").read_bytes())
+        plain, back = load_model(tmp_path / "m.json"), load_model(bom)
+        assert back.coefs.tobytes() == plain.coefs.tobytes()
+        assert predict(back, [x]).values.tobytes() == predict(plain, [x]).values.tobytes()
 
     def test_fpc_ls_round_trip(self, tmp_path):
         rng = np.random.default_rng(20)

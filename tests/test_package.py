@@ -3,7 +3,7 @@
 import importlib
 
 import fflqr
-from fflqr import errors
+from fflqr import errors, fdata
 
 MODULES = ("bands", "bspline", "errors", "fdata", "fpca", "model", "qreg", "selection",
            "simulate")
@@ -34,7 +34,14 @@ def test_star_import_binds_every_public_name():
     exec("from fflqr import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(fflqr.__all__)
-    assert len(namespace) == 65
+    assert len(namespace) == 63
+
+
+def test_numpy_one_liners_are_not_public():
+    # centring and the quadrature inner product are one numpy expression each
+    for name in ("center", "inner_product"):
+        assert name not in fflqr.__all__ and not hasattr(fflqr, name)
+        assert name not in fdata.__all__ and not hasattr(fdata, name)
 
 
 def test_errors_lists_its_error_and_warning_types():

@@ -509,6 +509,18 @@ class TestStackedSolver:
         else:
             assert not solved[1]
 
+    def test_unfactored_slot_holds_the_identity(self, monkeypatch):
+        # The slots the retries factor hold each matrix's lone factor.
+        X = np.random.default_rng(67).normal(size=(4, 30, 3))
+        M = X.swapaxes(1, 2) @ X
+        lone = [np.linalg.cholesky(m) for m in M]
+        refuse_problem_1(monkeypatch, 4)
+        L, factored = qreg._cholesky(M)
+        assert factored.tolist() == [True, False, True, True]
+        assert L[1].tobytes() == np.eye(3).tobytes()
+        for b in (0, 2, 3):
+            assert L[b].tobytes() == lone[b].tobytes()
+
     def test_no_factorable_problem_leaves_all_unsolved(self, monkeypatch):
         # The core stops once every problem's factorization has failed.
         rng = np.random.default_rng(65)

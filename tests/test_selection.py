@@ -228,6 +228,17 @@ class TestForwardSelect:
         assert not any(math.isnan(e.bic) for e in res.bic_trace)
         assert len(calls) == len(stages) + 3 * 2
 
+    def test_stage_rule_threshold_is_exact(self):
+        # A drop of exactly (1.0 - 0.95) * |prev| is refused, though it
+        # exceeds a literal 0.05; the next double past the new BIC is taken.
+        share = 1.0 - 0.95
+        assert share > 0.05
+        for prev in (1.0, -1.0):
+            new = prev - share * abs(prev)
+            assert prev - new == share
+            assert not selection._improves(prev, new)
+            assert selection._improves(prev, np.nextafter(new, -np.inf))
+
     def test_chosen_k_from_final_truncation_pass(self):
         rng = np.random.default_rng(14)
         Y, xs = noisy_pair(rng, m=2)
