@@ -151,8 +151,6 @@ def _bspline_decompose(Y: FunctionalSample, X, n_basis: int = 20, order: int = 4
     """The B-spline twin of ``_decompose``: ``(basis, coordinates)`` of the
     response and one ``(basis, inner products)`` per predictor. The bases
     are fixed, so a row set's decomposition is its rows of this one."""
-    if not 2 <= order <= n_basis:
-        raise ValueError("need order >= 2 and n_basis >= order")
     _validate_samples(Y, X)
     return (_bspline_scores(Y, n_basis, order, "response"),
             [_bspline_scores(x, n_basis, order, "predictor") for x in X])
@@ -431,11 +429,14 @@ def load_model(path):
             bases = tuple(_basis_from_json(b) for b in doc["predictor_bases"])
             if not bases:
                 raise ValueError("a score model needs at least one predictor basis")
+            coefs = np.array(doc["coefficients"], dtype=float)
+            if not np.isfinite(coefs).all():  # JSON admits NaN, and 1e400 reads as inf
+                raise ValueError("coefficients must be finite")
             return FflqrFit(
                 doc["tau"],
                 _basis_from_json(doc["response_basis"]),
                 bases,
-                np.array(doc["coefficients"], dtype=float),
+                coefs,
                 _resolve_indices(bases, doc["predictor_indices"]),
                 kind,
             )

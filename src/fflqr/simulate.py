@@ -29,8 +29,6 @@ from .selection import _choice, _drive, _widths
 __all__ = [
     "SimConfig",
     "SimData",
-    "squared_exp_kernel",
-    "sample_gp",
     "gen_predictors",
     "true_beta",
     "gen_ou_errors",
@@ -112,6 +110,11 @@ class SimConfig:
             kind, accepts = _FIELD_KINDS.get(f.type, (None, None))
             if kind is not None and not accepts(value):
                 raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+        if any(c in self.scenario for c in ',"\r\n'):
+            # the label is written unquoted into the study tables' CSV rows
+            raise ConfigError(
+                f"scenario must hold no comma, quote or line break, got {self.scenario!r}"
+            )
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.n_train < 2 or self.n_test < 1:
@@ -193,23 +196,12 @@ class SimData:
     t_grid: Grid
 
 
-def squared_exp_kernel(width: float = 100.0):
-    """Squared exponential covariance ``exp(-width (s - s')^2)``."""
-
-    def kernel(s, t):
-        return np.exp(-width * (np.asarray(s) - np.asarray(t)) ** 2)
-
-    return kernel
-
-
-def _gram_factor(kernel, grid: Grid):
-    """Lower Cholesky factor of the kernel Gram matrix on a grid, found with a
-    small escalating diagonal jitter; None for an identically zero kernel."""
+def _gram_factor(grid: Grid):
+    """Lower Cholesky factor of the Gram matrix ``exp(-100 (s - s')^2)`` of
+    the squared exponential kernel on a grid, found with a small escalating
+    diagonal jitter."""
     pts = grid.points
-    gram = np.asarray(kernel(pts[:, None], pts[None, :]), dtype=float)
-    gram = (gram + gram.T) / 2.0
-    if np.max(np.abs(gram)) == 0.0:
-        return None
+    gram = np.exp(-100.0 * (pts[:, None] - pts[None, :]) ** 2)
     jitter = 1e-10
     for attempt in range(3):
         try:
@@ -217,18 +209,6 @@ def _gram_factor(kernel, grid: Grid):
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise NumericalError("kernel Gram matrix is not positive definite")
-
-
-def sample_gp(kernel, grid: Grid, n: int, rng) -> FunctionalSample:
-    """Draw mean-zero Gaussian process paths on a grid.
-
-    The kernel Gram matrix is factorized with a small escalating diagonal
-    jitter; an identically zero kernel yields the all-zero sample.
-    """
-    factor = _gram_factor(kernel, grid)
-    if factor is None:
-        return FunctionalSample(np.zeros((n, grid.size)), grid)
-    return FunctionalSample(rng.standard_normal((n, grid.size)) @ factor.T, grid)
 
 
 def gen_predictors(config: SimConfig, rng, n: int = None) -> list:
@@ -245,7 +225,7 @@ def gen_predictors(config: SimConfig, rng, n: int = None) -> list:
     if n is None:
         n = config.n_train + config.n_test
     s_grid = make_uniform_grid(config.n_grid, 0.0, 1.0)
-    factor = _gram_factor(squared_exp_kernel(100.0), s_grid)
+    factor = _gram_factor(s_grid)
     totals = []
     for j in range(config.M + config.lag):
         field = rng.standard_normal((n, config.n_grid)) @ factor.T

@@ -10,29 +10,36 @@ import pytest
 from scipy.interpolate import BSpline
 
 import fflqr
-from fflqr.bspline import bspline_design, bspline_knots
+from fflqr.bspline import bspline_design
+
+
+def clamped_knots(n_basis, order):
+    """The clamped uniform knot vector on [0, 1], written out."""
+    interior = [j / (n_basis - order + 1) for j in range(1, n_basis - order + 1)]
+    return np.array([0.0] * order + interior + [1.0] * order)
 
 
 class TestKnots:
     def test_clamped_uniform(self):
-        kn = bspline_knots(6, 4, 0.0, 1.0)
-        assert len(kn) == 6 + 4
-        np.testing.assert_allclose(kn[:4], 0.0)
-        np.testing.assert_allclose(kn[-4:], 1.0)
-        interior = kn[4:-4]
-        np.testing.assert_allclose(interior, [1.0 / 3.0, 2.0 / 3.0])
+        # order 4 with 6 basis functions: interior knots at 1/3 and 2/3, so
+        # the first function lives on [0, 1/3) and the last on (2/3, 1]
+        x = np.linspace(0.0, 1.0, 61)
+        B = bspline_design(x, 6, 4, 0.0, 1.0)
+        first, last = x < 1.0 / 3.0 - 1e-12, x > 2.0 / 3.0 + 1e-12
+        assert np.all(B[first, 0] > 0) and np.all(B[~first, 0] == 0)
+        assert np.all(B[last, -1] > 0) and np.all(B[~last, -1] == 0)
 
     def test_order_too_small_raises(self):
         with pytest.raises(ValueError, match="order"):
-            bspline_knots(4, 1, 0.0, 1.0)
+            bspline_design([0.5], 4, 1, 0.0, 1.0)
 
     def test_too_few_basis_raises(self):
         with pytest.raises(ValueError, match="n_basis"):
-            bspline_knots(3, 4, 0.0, 1.0)
+            bspline_design([0.5], 3, 4, 0.0, 1.0)
 
     def test_bad_interval_raises(self):
         with pytest.raises(ValueError, match="a < b"):
-            bspline_knots(5, 3, 1.0, 0.0)
+            bspline_design([0.5], 5, 3, 1.0, 0.0)
 
 
 class TestDesign:
@@ -64,7 +71,7 @@ class TestDesign:
 
     @pytest.mark.parametrize("n_basis,order", [(5, 2), (6, 3), (9, 4)])
     def test_matches_scipy(self, n_basis, order):
-        kn = bspline_knots(n_basis, order, 0.0, 1.0)
+        kn = clamped_knots(n_basis, order)
         x = np.linspace(0.0, 1.0, 33)[:-1]  # scipy's last span is half-open
         B = bspline_design(x, n_basis, order, 0.0, 1.0)
         for j in range(n_basis):
@@ -74,7 +81,7 @@ class TestDesign:
             np.testing.assert_allclose(B[:, j], ref, atol=1e-12)
 
     def test_local_support(self):
-        kn = bspline_knots(8, 4, 0.0, 1.0)
+        kn = clamped_knots(8, 4)
         x = np.linspace(0.0, 1.0, 101)
         B = bspline_design(x, 8, 4, 0.0, 1.0)
         for j in range(8):

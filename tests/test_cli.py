@@ -429,11 +429,15 @@ class TestPredict:
             ],
         }),
         *(lambda doc, tau=tau: json.dumps({**doc, "tau": tau}) for tau in (1.5, True, "0.5")),
+        # JSON reads NaN as a nan and 1e400 as an inf
+        *(lambda doc, value=value: json.dumps({**doc, "coefficients": [
+            ["first", *doc["coefficients"][0][1:]], *doc["coefficients"][1:]
+        ]}).replace('"first"', value) for value in ("NaN", "1e400")),
     ], ids=["truncated-json", "no-coefficients", "wrong-shape", "no-predictor-bases",
             "null-mean", "null-coefficients", "string-labels", "zero-label",
             "float-label", "bool-label", "repeated-label", "unequal-widths",
-            "tau-above-1", "bool-tau", "string-tau"])
-    def test_corrupt_model_exits_3(self, tmp_path, command, corrupt):
+            "tau-above-1", "bool-tau", "string-tau", "nan-coefficient", "inf-coefficient"])
+    def test_corrupt_model_exits_3(self, tmp_path, capsys, command, corrupt):
         sim = simulate(tmp_path)
         fitted = fit_dir(tmp_path, sim)
         model = tmp_path / "corrupt.json"
@@ -450,6 +454,7 @@ class TestPredict:
             "--out", str(tmp_path / "p"),
         ])
         assert code == 3
+        assert f"model {model} is malformed" in capsys.readouterr().err
 
 
 class TestInterval:
@@ -736,6 +741,19 @@ class TestBadValueExitCodes:
         code = main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "b")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_scenario_with_comma_exits_2(self, tmp_path, capsys):
+        # an unquoted comma would give its study-table rows one field too many
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": "heavy tails, 10% outliers"}))
+        out = tmp_path / "b"
+        code = main([
+            "benchmark", "--config", str(cfg), "--n-train", "40", "--n-test", "10",
+            "--replicates", "1", "--models", "true", "--methods", "fflqr", "--out", str(out),
+        ])
+        assert code == 2
+        assert "scenario must hold no comma" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
 
     def test_benchmark_value_error_exits_2(self, tmp_path, monkeypatch):
         def too_wide(*args, **kwargs):

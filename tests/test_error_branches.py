@@ -1,6 +1,8 @@
 """Every input check that the other tests leave unexercised: its exception
 type and its exact message."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from fflqr.fpca import fpc_decompose, reconstruct
 from fflqr.model import FflqrFit, fit_bspline_ls, fit_fflqr, save_model
 from fflqr.qreg import QrProblem, qr_fit_multi, qr_objective
 from fflqr.selection import bic_candidate, forward_select
-from fflqr.simulate import sample_gp
+from fflqr.simulate import _gram_factor
 
 
 def sample(p=25, n=12, seed=0):
@@ -22,6 +24,12 @@ def sample(p=25, n=12, seed=0):
 
 def one_basis():
     return fpc_decompose(sample(), 2)[0]
+
+
+def _gram_without_cholesky(grid):
+    """The Gram factor with every Cholesky attempt failing."""
+    with mock.patch.object(np.linalg, "cholesky", side_effect=np.linalg.LinAlgError):
+        return _gram_factor(grid)
 
 
 GRID = make_uniform_grid(6, 0.0, 1.0)
@@ -64,7 +72,7 @@ CASES = {
         ValueError, "n_basis exceeds the number of response grid points"),
     "bspline-order-1": (
         lambda: fit_bspline_ls(sample(), [sample(seed=1)], order=1),
-        ValueError, "need order >= 2 and n_basis >= order"),
+        ValueError, "order must be at least 2"),
     "save-unknown-model": (
         lambda: save_model(object(), "unused.json"), TypeError, "cannot serialize object"),
     # qreg
@@ -103,8 +111,7 @@ CASES = {
         ValueError, "band and sample grids differ"),
     # simulate
     "gp-negative-kernel": (
-        lambda: sample_gp(lambda s, t: -np.exp(-(s - t) ** 2), GRID, 3,
-                          np.random.default_rng(0)),
+        lambda: _gram_without_cholesky(GRID),
         NumericalError, "kernel Gram matrix is not positive definite"),
 }
 

@@ -541,6 +541,19 @@ class TestSerialization:
         assert back.coefs.tobytes() == plain.coefs.tobytes()
         assert predict(back, [x]).values.tobytes() == predict(plain, [x]).values.tobytes()
 
+    @pytest.mark.parametrize("value", ["NaN", "1e400"])
+    def test_non_finite_coefficients_raise(self, tmp_path, value):
+        # JSON reads NaN as a nan and 1e400 as an inf
+        rng = np.random.default_rng(20)
+        Y, x = representable_pair(rng)
+        path = tmp_path / "m.json"
+        save_model(fit_fflqr(Y, [x], 0.5, 2, 2), path)
+        doc = json.loads(path.read_text())
+        doc["coefficients"][1][0] = "first"
+        path.write_text(json.dumps(doc).replace('"first"', value))
+        with pytest.raises(DataError, match="malformed.*coefficients must be finite"):
+            load_model(path)
+
     def test_fpc_ls_round_trip(self, tmp_path):
         rng = np.random.default_rng(20)
         Y, x = representable_pair(rng)

@@ -3,7 +3,7 @@
 import importlib
 
 import fflqr
-from fflqr import errors, fdata
+from fflqr import bspline, errors, fdata, simulate
 
 MODULES = ("bands", "bspline", "errors", "fdata", "fpca", "model", "qreg", "selection",
            "simulate")
@@ -34,14 +34,17 @@ def test_star_import_binds_every_public_name():
     exec("from fflqr import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(fflqr.__all__)
-    assert len(namespace) == 63
+    assert len(namespace) == 60
 
 
 def test_numpy_one_liners_are_not_public():
-    # centring and the quadrature inner product are one numpy expression each
-    for name in ("center", "inner_product"):
+    # centring, the quadrature inner product, the kernel and the knot vector
+    # are one numpy expression each, and a Gaussian process draw is two
+    for module, name in ((fdata, "center"), (fdata, "inner_product"),
+                         (simulate, "squared_exp_kernel"), (simulate, "sample_gp"),
+                         (bspline, "bspline_knots")):
         assert name not in fflqr.__all__ and not hasattr(fflqr, name)
-        assert name not in fdata.__all__ and not hasattr(fdata, name)
+        assert name not in module.__all__ and not hasattr(module, name)
 
 
 def test_errors_lists_its_error_and_warning_types():

@@ -22,8 +22,6 @@ from fflqr.simulate import (
     gen_response,
     generate_dataset,
     run_monte_carlo,
-    sample_gp,
-    squared_exp_kernel,
     true_beta,
     write_study_tables,
 )
@@ -45,44 +43,18 @@ def tiny_config(**kw):
 
 
 class TestKernel:
+    # The fields' Gram matrix exp(-100 (s - s')^2), rebuilt from its factor;
+    # the factor carries a diagonal jitter of 1e-10.
+    def gram(self, n_grid):
+        factor = sim_mod._gram_factor(make_uniform_grid(n_grid, 0.0, 1.0))
+        return factor @ factor.T
+
     def test_unit_diagonal(self):
-        k = squared_exp_kernel()
-        assert k(0.3, 0.3) == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(np.diag(self.gram(30)), 1.0, atol=1e-9)
 
     def test_decay_at_lag_tenth(self):
-        k = squared_exp_kernel(100.0)
-        assert k(0.2, 0.3) == pytest.approx(math.exp(-1.0), rel=1e-12)
-
-    def test_vectorized(self):
-        k = squared_exp_kernel(100.0)
-        s = np.array([0.0, 0.1, 0.2])
-        out = k(s[:, None], s[None, :])
-        assert out.shape == (3, 3)
-        np.testing.assert_allclose(np.diag(out), 1.0)
-
-
-class TestSampleGp:
-    def test_marginal_moments(self):
-        rng = np.random.default_rng(0)
-        g = make_uniform_grid(15, 0.0, 1.0)
-        x = sample_gp(squared_exp_kernel(100.0), g, 4000, rng)
-        col = x.values[:, 7]
-        assert abs(np.mean(col)) < 0.1
-        assert abs(np.var(col) - 1.0) < 0.1
-
-    def test_lagged_correlation_matches_kernel(self):
-        rng = np.random.default_rng(1)
-        g = make_uniform_grid(11, 0.0, 1.0)
-        x = sample_gp(squared_exp_kernel(100.0), g, 4000, rng)
-        # grid step is 0.1, so adjacent columns correlate at exp(-1)
-        corr = np.corrcoef(x.values[:, 4], x.values[:, 5])[0, 1]
-        assert corr == pytest.approx(math.exp(-1.0), abs=0.05)
-
-    def test_zero_kernel_gives_zero_sample(self):
-        rng = np.random.default_rng(2)
-        g = make_uniform_grid(8, 0.0, 1.0)
-        x = sample_gp(lambda s, t: 0.0 * (np.asarray(s) + np.asarray(t)), g, 5, rng)
-        np.testing.assert_array_equal(x.values, 0.0)
+        # grid step 0.1: points one step apart correlate at exp(-1)
+        assert self.gram(11)[2, 3] == pytest.approx(math.exp(-1.0), rel=1e-8)
 
 
 class TestPredictors:
@@ -111,18 +83,30 @@ class TestPredictors:
         c12 = np.corrcoef(X[0].values[:, 10], X[1].values[:, 10])[0, 1]
         assert abs(c12) < 0.1
 
+    def test_zero_lag_marginal_moments(self):
+        config = tiny_config(n_grid=15, M=1, lag=0, significant=(1,))
+        (x,) = gen_predictors(config, np.random.default_rng(0), n=4000)
+        col = x.values[:, 7] - 10.0
+        assert abs(np.mean(col)) < 0.1
+        assert abs(np.var(col) - 1.0) < 0.1
+
+    def test_zero_lag_neighbor_points_correlate_as_kernel(self):
+        config = tiny_config(n_grid=11, M=1, lag=0, significant=(1,))
+        (x,) = gen_predictors(config, np.random.default_rng(1), n=4000)
+        # grid step is 0.1, so adjacent columns correlate at exp(-1)
+        corr = np.corrcoef(x.values[:, 4], x.values[:, 5])[0, 1]
+        assert corr == pytest.approx(math.exp(-1.0), abs=0.05)
 
     def test_fields_draw_like_separate_samples(self):
         # The fields share one kernel factor and are streamed, but draw in the
-        # same order, and sum to the same bytes, as one sample_gp call per
-        # field, all drawn first, then summed on zeros.
-        grid = make_uniform_grid(20, 0.0, 1.0)
-        kernel = squared_exp_kernel(100.0)
+        # same order, and sum to the same bytes, as one draw per field, all
+        # drawn first, then summed on zeros.
+        factor = sim_mod._gram_factor(make_uniform_grid(20, 0.0, 1.0))
         for M, lag in [(3, 2), (5, 4), (3, 1), (5, 0)]:
             config = tiny_config(M=M, lag=lag, n_grid=20, significant=(1,))
             got = gen_predictors(config, np.random.default_rng(8), n=7)
             rng = np.random.default_rng(8)
-            fields_v = [sample_gp(kernel, grid, 7, rng).values for _ in range(M + lag)]
+            fields_v = [rng.standard_normal((7, 20)) @ factor.T for _ in range(M + lag)]
             assert len(got) == M
             for m, x in enumerate(got):
                 total = np.zeros((7, 20))
@@ -304,6 +288,10 @@ class TestSimConfig:
             (dict(error_dist=None), "error_dist must be a string"),
             (dict(significant=()), r"one or more distinct labels, got \[\]"),
             (dict(significant=(2, 2)), r"one or more distinct labels, got \[2, 2\]"),
+            (dict(scenario="heavy tails, 10% outliers"), "scenario must hold no comma"),
+            (dict(scenario='the "heavy" tails'), "scenario must hold no comma, quote"),
+            (dict(scenario="heavy\ntails"), "or line break, got 'heavy\\\\ntails'"),
+            (dict(scenario="heavy\rtails"), "or line break"),
         ],
     )
     def test_rejects_bad_values(self, kw, msg):
